@@ -52,22 +52,36 @@ inline bool write_file(const std::string& path, const std::string& content) {
   return out.good();
 }
 
-/// The commit the bench binary's source tree was at, or "unknown" — read
-/// from .git at run time (follows one level of symbolic ref), so a stale
-/// binary over a moved tree reports the tree, which is what provenance
-/// wants.
-inline std::string git_sha() {
-  std::ifstream head(std::string(HOTC_SOURCE_DIR) + "/.git/HEAD");
+/// The commit checked out in the git work tree at `root`, or "unknown".
+/// Reads `root/.git` directly: HEAD holds either the commit itself
+/// (detached) or a branch ref, which is resolved from its loose ref file
+/// or, after `git gc` / `git pack-refs`, from `packed-refs`.
+inline std::string git_sha_at(const std::string& root) {
+  const std::string git = root + "/.git";
+  std::ifstream head(git + "/HEAD");
   std::string line;
-  if (!head || !std::getline(head, line)) return "unknown";
-  if (line.rfind("ref: ", 0) == 0) {
-    std::ifstream ref(std::string(HOTC_SOURCE_DIR) + "/" + line.substr(5));
-    std::string sha;
-    if (!ref || !std::getline(ref, sha)) return "unknown";
-    return sha;
+  if (!head || !std::getline(head, line) || line.empty()) return "unknown";
+  if (line.rfind("ref: ", 0) != 0) return line;
+  const std::string ref = line.substr(5);
+  std::ifstream loose(git + "/" + ref);
+  std::string sha;
+  if (loose && std::getline(loose, sha) && !sha.empty()) return sha;
+  // packed-refs lines are "<sha> <ref>"; the "# pack-refs" header and
+  // "^<sha>" peeled-tag lines never match a ref name.
+  std::ifstream packed(git + "/packed-refs");
+  while (std::getline(packed, line)) {
+    const auto space = line.find(' ');
+    if (space != std::string::npos && line.substr(space + 1) == ref) {
+      return line.substr(0, space);
+    }
   }
-  return line;
+  return "unknown";
 }
+
+/// The commit the bench binary's source tree is at — read at run time, so
+/// a stale binary over a moved tree reports the tree, which is what
+/// provenance wants.
+inline std::string git_sha() { return git_sha_at(HOTC_SOURCE_DIR); }
 
 /// Host/build provenance block, embedded verbatim in every BENCH_*.json:
 /// a perf number without the machine and build that produced it is noise.

@@ -1,6 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "core/log.hpp"
 #include "spec/compat.hpp"
@@ -244,21 +247,30 @@ void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
   const double slow = (swapped ? 2.0 : 1.0) * quota;
   report.compute = scale(cost_.compute_time(app.exec_seconds), slow);
 
-  const TimePoint queued_at = sim_.now();
-  const std::string app_name = app.name;
-  const Bytes writes = app.volume_writes;
-  const bool inject_crash = faults_.exec_crash_rate > 0.0 &&
-                            fault_rng_.chance(faults_.exec_crash_rate);
-  cpu_.acquire([this, id, report, queued_at, app_name, writes, inject_crash,
-                cb]() mutable {
-    report.queueing = sim_.now() - queued_at;
-    Duration busy = report.reconfigure + report.app_init + report.download +
-                    report.compute;
+  // Everything the CPU grant and the completion need travels in one boxed
+  // job, so the two closures stay small and nothing is copied per hop.
+  struct Job {
+    ContainerId id;
+    ExecReport report;
+    TimePoint queued_at;
+    std::string app_name;
+    Bytes writes;
+    bool inject_crash;
+    ExecCallback cb;
+  };
+  auto job = std::make_unique<Job>(Job{
+      id, report, sim_.now(), app.name, app.volume_writes,
+      faults_.exec_crash_rate > 0.0 &&
+          fault_rng_.chance(faults_.exec_crash_rate),
+      std::move(cb)});
+  cpu_.acquire([this, job = std::move(job)]() mutable {
+    ExecReport& r = job->report;
+    r.queueing = sim_.now() - job->queued_at;
+    Duration busy = r.reconfigure + r.app_init + r.download + r.compute;
     // An injected crash kills the process partway through execution.
-    if (inject_crash) busy = scale(busy, 0.5);
-    sim_.after(busy, [this, id, report, app_name, writes, inject_crash,
-                      cb]() {
-      auto inner = containers_.find(id);
+    if (job->inject_crash) busy = scale(busy, 0.5);
+    sim_.after(busy, [this, job = std::move(job)]() {
+      auto inner = containers_.find(job->id);
       HOTC_ASSERT(inner != containers_.end());
       Container& done = inner->second;
       release_memory(done.busy_memory);
@@ -266,18 +278,19 @@ void ContainerEngine::exec_as(ContainerId id, const AppModel& app,
       set_state(done, ContainerState::kIdle);
       done.last_used = sim_.now();
       cpu_.release();
-      if (inject_crash) {
+      if (job->inject_crash) {
         ++exec_crashes_;
         // The container survives (the watchdog restarts the handler); the
         // warm-app state is gone with the dead process.
         done.warm_app.clear();
-        cb(make_error<ExecReport>("engine.exec_crashed",
-                                  "injected function crash"));
+        job->cb(make_error<ExecReport>("engine.exec_crashed",
+                                       "injected function crash"));
         return;
       }
-      done.warm_app = app_name;
-      warn_if_failed(volumes_.write(done.volume, writes), "volume write");
-      cb(report);
+      done.warm_app = std::move(job->app_name);
+      warn_if_failed(volumes_.write(done.volume, job->writes),
+                     "volume write");
+      job->cb(job->report);
     });
   });
 }
@@ -307,7 +320,7 @@ void ContainerEngine::clean(ContainerId id, DoneCallback cb) {
   if (clean_duration_ms_ != nullptr) {
     clean_duration_ms_->observe(to_milliseconds(d));
   }
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     warn_if_failed(volumes_.wipe_and_remount(inner->second.volume),
@@ -445,7 +458,7 @@ void ContainerEngine::resume(ContainerId id, DoneCallback cb) {
   const Duration d = cost_.resume_time(c.paused_released);
   reserve_or_swap(c.paused_released);
   c.paused_released = 0;
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     set_state(inner->second, ContainerState::kIdle);
@@ -671,7 +684,7 @@ void ContainerEngine::stop_and_remove(ContainerId id, DoneCallback cb) {
   }
   set_state(c, ContainerState::kStopping);
   const Duration d = cost_.stop_time() + cost_.remove_time();
-  sim_.after(d, [this, id, cb]() {
+  sim_.after(d, [this, id, cb = std::move(cb)]() {
     auto inner = containers_.find(id);
     HOTC_ASSERT(inner != containers_.end());
     Container& done = inner->second;

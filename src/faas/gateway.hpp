@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 
 #include "core/annotations.hpp"
@@ -79,6 +80,9 @@ class Gateway {
   using Callback = std::function<void(Result<CompletedRequest>)>;
 
   /// Submit a request "from the client" at the current simulation time.
+  /// The gateway keeps its own copy of spec and app.  cb runs once, with
+  /// the completed request, the backend's error or faas.timeout (or never,
+  /// if the simulation is stopped first).
   void submit(std::uint64_t request_id, std::size_t config_index,
               const spec::RunSpec& spec, const engine::AppModel& app,
               Callback cb);
@@ -96,6 +100,15 @@ class Gateway {
   [[nodiscard]] std::size_t in_flight() const { return slots_.in_use(); }
 
  private:
+  /// One in-flight request: its record plus what the stages need.  The
+  /// stage closures and the deadline timer share it; it is freed with the
+  /// last of them.
+  struct Request;
+  using RequestPtr = std::shared_ptr<Request>;
+
+  void to_watchdog(RequestPtr req);
+  void on_dispatched(RequestPtr req, Result<DispatchReport> r);
+
   sim::Simulator& sim_;
   Backend& backend_;
   GatewayOptions options_;

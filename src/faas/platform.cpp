@@ -1,5 +1,7 @@
 #include "faas/platform.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "core/assert.hpp"
@@ -57,6 +59,43 @@ HotCController* FaasPlatform::hotc_controller() {
   return hotc_backend != nullptr ? &hotc_backend->controller() : nullptr;
 }
 
+void FaasPlatform::Replay::schedule(std::size_t k) {
+  const std::size_t i = order.empty() ? k : order[k];
+  platform->sim_.at_reserved((*arrivals)[i].at, first_seq + i,
+                             [this, k]() { fire(k); });
+}
+
+void FaasPlatform::Replay::fire(std::size_t k) {
+  if (k + 1 < arrivals->size()) schedule(k + 1);
+  const std::size_t i = order.empty() ? k : order[k];
+  const workload::Arrival& arrival = (*arrivals)[i];
+  const auto& entry = mix->at(arrival.config_index);
+  // Request ids follow list order (arrival i is request i + 1), whatever
+  // the firing order.
+  platform->gateway_->submit(
+      i + 1, arrival.config_index, entry.spec, entry.app,
+      [this](Result<CompletedRequest> done) { complete(std::move(done)); });
+}
+
+void FaasPlatform::Replay::complete(Result<CompletedRequest> done) {
+  if (!done.ok()) {
+    ++platform->failures_;
+    return;
+  }
+  const CompletedRequest& rec = done.value();
+  platform->completed_.push_back(rec);
+  metrics::LatencyPoint p;
+  p.request_id = rec.id;
+  p.arrival = rec.submitted;
+  p.latency = rec.total();
+  p.cold = rec.cold;
+  p.config_index = rec.config_index;
+  if (duration_hist != nullptr) {
+    duration_hist->observe(to_milliseconds(p.latency), p.request_id);
+  }
+  recorder->add(p);
+}
+
 metrics::LatencyRecorder FaasPlatform::run(
     const workload::ArrivalList& arrivals, const workload::ConfigMix& mix) {
   HOTC_ASSERT_MSG(!ran_, "FaasPlatform::run may be called only once");
@@ -98,36 +137,28 @@ metrics::LatencyRecorder FaasPlatform::run(
   }
   if (monitor_) monitor_->start();
 
-  std::uint64_t next_id = 1;
+  // Arrivals are fed lazily: each one schedules the next in firing order,
+  // so the queue holds one pending arrival instead of the whole list.
+  // Arrival i fires under the seq it would have had if every arrival had
+  // been pushed here in list order, so the firing order is that of an
+  // up-front schedule: (time, list index), ties and unsorted lists
+  // included.
+  Replay replay{this, &arrivals, &mix, &recorder, duration_hist, {},
+                sim_.reserve(arrivals.size())};
+  if (!std::is_sorted(arrivals.begin(), arrivals.end())) {  // by time
+    replay.order.resize(arrivals.size());
+    std::iota(replay.order.begin(), replay.order.end(), std::size_t{0});
+    std::stable_sort(replay.order.begin(), replay.order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return arrivals[a] < arrivals[b];
+                     });
+  }
   for (const auto& arrival : arrivals) {
     HOTC_ASSERT_MSG(arrival.config_index < mix.size(),
                     "arrival names a config outside the mix");
-    const std::uint64_t id = next_id++;
-    sim_.at(arrival.at, [this, id, arrival, duration_hist, &mix,
-                         &recorder]() {
-      const auto& entry = mix.at(arrival.config_index);
-      gateway_->submit(
-          id, arrival.config_index, entry.spec, entry.app,
-          [this, duration_hist, &recorder](Result<CompletedRequest> done) {
-            if (!done.ok()) {
-              ++failures_;
-              return;
-            }
-            completed_.push_back(done.value());
-            metrics::LatencyPoint p;
-            p.request_id = done.value().id;
-            p.arrival = done.value().submitted;
-            p.latency = done.value().total();
-            p.cold = done.value().cold;
-            p.config_index = done.value().config_index;
-            if (duration_hist != nullptr) {
-              duration_hist->observe(to_milliseconds(p.latency),
-                                     p.request_id);
-            }
-            recorder.add(p);
-          });
-    });
   }
+  completed_.reserve(arrivals.size());
+  replay.schedule(0);
 
   // Run every queued event; the monitor/adaptive loops stop themselves at
   // the horizon.

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/monitor.hpp"
@@ -81,6 +82,26 @@ class FaasPlatform {
   }
 
  private:
+  /// State of one run() that the arrival and completion events share; it
+  /// lives on run()'s stack while the simulator drains.
+  struct Replay {
+    FaasPlatform* platform;
+    const workload::ArrivalList* arrivals;
+    const workload::ConfigMix* mix;
+    metrics::LatencyRecorder* recorder;
+    obs::LogHistogram* duration_hist;
+    /// Firing order as list indices; empty when the list is already
+    /// sorted by time (firing order = list order).
+    std::vector<std::size_t> order;
+    /// Arrival i fires under seq first_seq + i.
+    sim::EventSeq first_seq;
+
+    /// Schedule the k-th arrival in firing order.
+    void schedule(std::size_t k);
+    void fire(std::size_t k);
+    void complete(Result<CompletedRequest> done);
+  };
+
   PlatformOptions options_;
   sim::Simulator sim_;
   engine::ContainerEngine engine_;

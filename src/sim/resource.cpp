@@ -4,7 +4,7 @@
 
 namespace hotc::sim {
 
-void CountingResource::acquire(std::function<void()> on_granted) {
+void CountingResource::acquire(EventFn on_granted) {
   if (in_use_ < capacity_) {
     ++in_use_;
     on_granted();

@@ -9,10 +9,10 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 
 #include "core/assert.hpp"
 #include "core/units.hpp"
+#include "sim/event_queue.hpp"
 
 namespace hotc::sim {
 
@@ -24,7 +24,7 @@ class CountingResource {
 
   /// Request a slot.  The callback fires immediately (inline) if a slot is
   /// free, otherwise when one is released, in FIFO order.
-  void acquire(std::function<void()> on_granted);
+  void acquire(EventFn on_granted);
 
   /// Return a slot; resumes the oldest waiter if any.
   void release();
@@ -37,7 +37,7 @@ class CountingResource {
  private:
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<std::function<void()>> waiters_;
+  std::deque<EventFn> waiters_;
 };
 
 class MemoryPool {

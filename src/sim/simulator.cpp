@@ -1,6 +1,6 @@
 #include "sim/simulator.hpp"
 
-#include <memory>
+#include <utility>
 
 #include "core/assert.hpp"
 
@@ -16,24 +16,34 @@ EventId Simulator::after(Duration delay, EventFn fn) {
   return queue_.push(now() + delay, std::move(fn));
 }
 
+EventId Simulator::at_reserved(TimePoint t, EventSeq seq, EventFn fn) {
+  HOTC_ASSERT_MSG(t >= now(), "cannot schedule into the past");
+  return queue_.push_reserved(t, seq, std::move(fn));
+}
+
+namespace {
+
+/// One wake-up of an every() chain: it re-arms itself by moving into the
+/// next event, so the chain's state is freed with the event that ends it.
+struct Periodic {
+  Simulator* sim;
+  Duration period;
+  std::function<bool()> keep_going;
+  std::function<void()> fn;
+
+  void operator()() {
+    if (!keep_going()) return;
+    fn();
+    sim->after(period, std::move(*this));
+  }
+};
+
+}  // namespace
+
 void Simulator::every(Duration period, const std::function<bool()>& keep_going,
                       const std::function<void()>& fn) {
   HOTC_ASSERT(period > kZeroDuration);
-  // Self-rescheduling closure.  The closure holds only a weak reference to
-  // itself — each scheduled event carries the strong one — so when
-  // keep_going turns false and the chain ends, the last strong reference
-  // dies with the fired event and the closure is freed (a strong
-  // self-capture would be a shared_ptr cycle and leak).
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [this, period, keep_going, fn, weak]() {
-    if (!keep_going()) return;
-    fn();
-    if (auto self = weak.lock()) {
-      after(period, [self]() { (*self)(); });
-    }
-  };
-  after(period, [tick]() { (*tick)(); });
+  after(period, Periodic{this, period, keep_going, fn});
 }
 
 std::size_t Simulator::run() {

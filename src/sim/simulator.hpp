@@ -30,6 +30,15 @@ class Simulator {
   /// Schedule fn after a delay from now.
   EventId after(Duration delay, EventFn fn);
 
+  /// Set aside n consecutive event seqs (EventQueue::reserve) and return
+  /// the first, so a long series of events can be scheduled one at a time
+  /// yet fire exactly as if all had been scheduled now.
+  EventSeq reserve(std::size_t n) { return queue_.reserve(n); }
+
+  /// Schedule fn at absolute time t (must be >= now()) under a seq from
+  /// reserve().
+  EventId at_reserved(TimePoint t, EventSeq seq, EventFn fn);
+
   /// Schedule fn every `period`, starting at now() + period, until the
   /// predicate returns false (checked before each firing).
   void every(Duration period, const std::function<bool()>& keep_going,

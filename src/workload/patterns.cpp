@@ -139,6 +139,11 @@ ArrivalList poisson(double rate, Duration duration, Rng& rng,
   ArrivalList out;
   double t = 0.0;
   const double horizon = to_seconds(duration);
+  // The count is Poisson(rate * horizon); reserving its mean plus four
+  // standard deviations avoids regrowing (and re-touching) a list that
+  // can run to millions of arrivals.
+  const double mean = std::max(0.0, rate * horizon);
+  out.reserve(static_cast<std::size_t>(mean + 4.0 * std::sqrt(mean)) + 16);
   while (true) {
     t += rng.exponential(rate);
     if (t >= horizon) break;

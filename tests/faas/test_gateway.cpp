@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 
 #include "engine/app.hpp"
 
@@ -267,6 +269,129 @@ TEST_F(GatewayTest, NoTimeoutByDefault) {
   sim_.run();
   EXPECT_TRUE(ok);
   EXPECT_EQ(gw.timeouts(), 0u);
+}
+
+}  // namespace
+}  // namespace hotc::faas
+
+// Request-record lifetime: whichever way a request ends, the client
+// callback runs exactly once and the gateway's record of the request (which
+// owns the callback, and through it `token`) is freed.  Double frees and
+// leaks are also caught by the address-sanitizer build.
+namespace hotc::faas {
+namespace {
+
+/// Answers every dispatch after `delay`, with success or an error.
+class ScriptedBackend final : public Backend {
+ public:
+  ScriptedBackend(sim::Simulator& sim, Duration delay, bool fail)
+      : sim_(sim), delay_(delay), fail_(fail) {}
+  [[nodiscard]] std::string name() const override { return "scripted"; }
+  void dispatch(const spec::RunSpec&, const engine::AppModel&,
+                Callback cb) override {
+    sim_.after(delay_, [this, cb = std::move(cb)]() {
+      if (fail_) {
+        cb(make_error<DispatchReport>("backend.down", "scripted failure"));
+        return;
+      }
+      DispatchReport report;
+      report.exec = delay_;
+      cb(report);
+    });
+  }
+  [[nodiscard]] std::uint64_t cold_starts() const override { return 0; }
+
+ private:
+  sim::Simulator& sim_;
+  Duration delay_;
+  bool fail_;
+};
+
+struct Outcome {
+  int calls = 0;
+  std::string error;  // empty when the request completed
+};
+
+/// Submits one request whose callback holds `token`; returns its outcome
+/// after the simulator drains.
+Outcome run_one(sim::Simulator& sim, Gateway& gw,
+                const std::shared_ptr<int>& token) {
+  Outcome out;
+  gw.submit(1, 0, python_spec(), engine::apps::random_number(),
+            [&out, token](Result<CompletedRequest> r) {
+              ++out.calls;
+              if (!r.ok()) out.error = r.error().code;
+            });
+  EXPECT_GT(token.use_count(), 1);  // held by the in-flight record
+  sim.run();
+  return out;
+}
+
+TEST(GatewayRecord, TimeoutBeforeCompletion) {
+  sim::Simulator sim;
+  ScriptedBackend backend(sim, seconds(1), /*fail=*/false);
+  GatewayOptions opt;
+  opt.request_timeout = milliseconds(10);
+  Gateway gw(sim, backend, opt);
+  auto token = std::make_shared<int>(0);
+  const Outcome out = run_one(sim, gw, token);
+  EXPECT_EQ(out.calls, 1);
+  EXPECT_EQ(out.error, "faas.timeout");
+  EXPECT_EQ(gw.timeouts(), 1u);
+  EXPECT_EQ(gw.in_flight(), 0u);  // the late completion released the slot
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(GatewayRecord, CompletionBeforeTimeout) {
+  sim::Simulator sim;
+  ScriptedBackend backend(sim, milliseconds(1), /*fail=*/false);
+  GatewayOptions opt;
+  opt.request_timeout = seconds(10);
+  Gateway gw(sim, backend, opt);
+  auto token = std::make_shared<int>(0);
+  const Outcome out = run_one(sim, gw, token);
+  EXPECT_EQ(out.calls, 1);
+  EXPECT_EQ(out.error, "");
+  EXPECT_EQ(gw.timeouts(), 0u);
+  EXPECT_EQ(gw.handled(), 1u);
+  EXPECT_EQ(sim.now(), seconds(10));  // the stood-down timer still fired
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(GatewayRecord, BackendError) {
+  sim::Simulator sim;
+  ScriptedBackend backend(sim, milliseconds(1), /*fail=*/true);
+  GatewayOptions opt;
+  opt.request_timeout = seconds(10);
+  Gateway gw(sim, backend, opt);
+  auto token = std::make_shared<int>(0);
+  const Outcome out = run_one(sim, gw, token);
+  EXPECT_EQ(out.calls, 1);
+  EXPECT_EQ(out.error, "backend.down");
+  EXPECT_EQ(gw.timeouts(), 0u);
+  EXPECT_EQ(gw.in_flight(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(GatewayRecord, FreedWhenSimulationStopsMidFlight) {
+  auto token = std::make_shared<int>(0);
+  int calls = 0;
+  {
+    sim::Simulator sim;
+    ScriptedBackend backend(sim, seconds(1), /*fail=*/false);
+    GatewayOptions opt;
+    opt.max_concurrent = 1;  // the second request waits for a slot
+    Gateway gw(sim, backend, opt);
+    for (std::uint64_t id = 1; id <= 2; ++id) {
+      gw.submit(id, 0, python_spec(), engine::apps::random_number(),
+                [&calls, token](Result<CompletedRequest>) { ++calls; });
+    }
+    sim.run_until(milliseconds(100));
+    EXPECT_EQ(gw.queued(), 1u);
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

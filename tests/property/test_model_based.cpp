@@ -105,7 +105,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PoolModelProperty,
                          ::testing::Values(1, 17, 99, 4242));
 
 // ---------------------------------------------------------------------------
-// EventQueue vs a reference sorted multiset of (time, seq).
+// EventQueue vs a reference list of (time, seq): random pushes, reserved
+// seq blocks fed out of order, cancellations (including stale ids) and
+// pops interleaved, so freed slots are reused throughout.
 class QueueModelProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(QueueModelProperty, DrainsInExactReferenceOrder) {
@@ -113,42 +115,79 @@ TEST_P(QueueModelProperty, DrainsInExactReferenceOrder) {
   sim::EventQueue queue;
   struct Ref {
     TimePoint t;
+    sim::EventSeq seq;
     sim::EventId id;
-    bool cancelled = false;
+    bool live = true;
   };
   std::vector<Ref> refs;
+  std::vector<sim::EventSeq> unused_reserved;
+  sim::EventSeq next_seq = 1;  // the model's own seq counter
+  std::size_t fired = 0;
 
-  // Random pushes and cancellations.
-  for (int i = 0; i < 500; ++i) {
-    if (rng.chance(0.75) || refs.empty()) {
-      const TimePoint t = seconds(rng.uniform_int(0, 50));
-      const auto id = queue.push(t, []() {});
-      refs.push_back(Ref{t, id, false});
-    } else {
-      auto& r = refs[rng.index(refs.size())];
-      const bool expected = !r.cancelled;
-      EXPECT_EQ(queue.cancel(r.id), expected);
-      r.cancelled = true;
+  const auto schedule = [&](sim::EventSeq seq, bool reserved) {
+    const TimePoint t = seconds(rng.uniform_int(0, 50));
+    const std::size_t index = refs.size();
+    auto fn = [&fired, index]() { fired = index; };
+    const auto id = reserved ? queue.push_reserved(t, seq, fn)
+                             : queue.push(t, fn);
+    refs.push_back(Ref{t, seq, id});
+  };
+  // The live event that must fire next: least (t, seq).
+  const auto expected_next = [&]() {
+    std::size_t best = refs.size();
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+      if (!refs[i].live) continue;
+      if (best == refs.size() || refs[i].t < refs[best].t ||
+          (refs[i].t == refs[best].t && refs[i].seq < refs[best].seq)) {
+        best = i;
+      }
     }
+    return best;
+  };
+  const auto pop_and_check = [&]() {
+    const std::size_t want = expected_next();
+    ASSERT_LT(want, refs.size());
+    EXPECT_EQ(queue.next_time(), refs[want].t);
+    auto [t, fn] = queue.pop();
+    EXPECT_EQ(t, refs[want].t);
+    fn();
+    EXPECT_EQ(fired, want);
+    refs[want].live = false;
+  };
+
+  for (int i = 0; i < 600; ++i) {
+    const double u = rng.uniform();
+    if (u < 0.45 || refs.empty()) {
+      schedule(next_seq++, /*reserved=*/false);
+    } else if (u < 0.5) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+      EXPECT_EQ(queue.reserve(n), next_seq);
+      for (std::size_t k = 0; k < n; ++k) {
+        unused_reserved.push_back(next_seq++);
+      }
+    } else if (u < 0.65 && !unused_reserved.empty()) {
+      const std::size_t k = rng.index(unused_reserved.size());
+      const sim::EventSeq seq = unused_reserved[k];
+      unused_reserved.erase(unused_reserved.begin() +
+                            static_cast<std::ptrdiff_t>(k));
+      schedule(seq, /*reserved=*/true);
+    } else if (u < 0.8) {
+      // Any id ever issued: live ones cancel once, fired or cancelled
+      // ones (whose slots may hold new events by now) never do.
+      auto& r = refs[rng.index(refs.size())];
+      EXPECT_EQ(queue.cancel(r.id), r.live);
+      r.live = false;
+    } else if (!queue.empty()) {
+      pop_and_check();
+    }
+    ASSERT_EQ(queue.size(),
+              static_cast<std::size_t>(std::count_if(
+                  refs.begin(), refs.end(),
+                  [](const Ref& r) { return r.live; })));
   }
 
-  // Expected drain order: by (t, insertion id), skipping cancelled.
-  std::vector<Ref> live;
-  for (const auto& r : refs) {
-    if (!r.cancelled) live.push_back(r);
-  }
-  std::sort(live.begin(), live.end(), [](const Ref& a, const Ref& b) {
-    if (a.t != b.t) return a.t < b.t;
-    return a.id < b.id;
-  });
-  ASSERT_EQ(queue.size(), live.size());
-  for (const auto& expected : live) {
-    ASSERT_FALSE(queue.empty());
-    EXPECT_EQ(queue.next_time(), expected.t);
-    const auto [t, fn] = queue.pop();
-    EXPECT_EQ(t, expected.t);
-  }
-  EXPECT_TRUE(queue.empty());
+  while (!queue.empty()) pop_and_check();
+  EXPECT_EQ(expected_next(), refs.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueModelProperty,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace hotc::sim {
@@ -108,6 +109,37 @@ TEST(Simulator, SameInstantFifo) {
   sim.at(seconds(1), [&]() { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(Simulator, ReservedSeriesFedLazilyKeepsUpFrontOrder) {
+  // Three events at one instant, scheduled one at a time from inside each
+  // other under reserved seqs, interleave with an ordinary event exactly
+  // as if all four had been scheduled up front in reserve-then-at order.
+  Simulator sim;
+  std::vector<int> order;
+  const EventSeq first = sim.reserve(3);
+  sim.at(seconds(1), [&]() { order.push_back(9); });
+  std::function<void(int)> feed = [&](int k) {
+    sim.at_reserved(seconds(1), first + static_cast<EventSeq>(k), [&, k]() {
+      order.push_back(k);
+      if (k < 2) feed(k + 1);
+    });
+  };
+  feed(0);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 9}));
+}
+
+TEST(Simulator, EveryChainFreedWhenItEnds) {
+  auto token = std::make_shared<int>(0);
+  Simulator sim;
+  int ticks = 0;
+  sim.every(seconds(1), [&ticks]() { return ticks < 3; },
+            [&ticks, token]() { ++ticks; });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run();
+  EXPECT_EQ(ticks, 3);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
