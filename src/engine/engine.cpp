@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -39,10 +40,39 @@ ContainerEngine::ContainerEngine(sim::Simulator& sim, HostProfile profile)
 void ContainerEngine::set_state(Container& c, ContainerState next) {
   HOTC_ASSERT_MSG(transition_allowed(c.state, next),
                   "illegal container state transition");
+  --state_counts_[state_index(c.state)];
   c.state = next;
+  // A container that reaches Removed leaves containers_ in the same event,
+  // so Removed is never counted.
+  if (next != ContainerState::kRemoved) ++state_counts_[state_index(next)];
   if (obs::Counter* counter = transition_counters_[state_index(next)]) {
     counter->inc();
   }
+  audit_state_counts();
+}
+
+void ContainerEngine::admit(Container c) {
+  HOTC_ASSERT(c.state == ContainerState::kProvisioning);
+  const ContainerId id = c.id;
+  containers_[id] = std::move(c);
+  ++state_counts_[state_index(ContainerState::kProvisioning)];
+  ++launches_;
+  audit_state_counts();
+}
+
+void ContainerEngine::audit_state_counts() const {
+#ifdef HOTC_AUDIT
+  std::array<std::size_t, kContainerStateCount> scan{};
+  for (const auto& [id, c] : containers_) {
+    (void)id;
+    if (c.state != ContainerState::kRemoved) ++scan[state_index(c.state)];
+  }
+  if (scan != state_counts_) {
+    HOTC_ERROR("engine.audit")
+        << "container state counts disagree with a scan of the engine";
+    std::abort();
+  }
+#endif
 }
 
 void ContainerEngine::attach_metrics(obs::Registry& registry) {
@@ -156,8 +186,7 @@ void ContainerEngine::launch(const spec::RunSpec& spec, LaunchCallback cb) {
   c.last_used = sim_.now();
   c.idle_memory = img.base_memory;
   reserve_or_swap(c.idle_memory);
-  containers_[id] = c;
-  ++launches_;
+  admit(std::move(c));
 
   HOTC_DEBUG("engine") << "launch " << spec.image.full() << " as #" << id
                        << " cold=" << format_duration(breakdown.total());
@@ -529,8 +558,7 @@ void ContainerEngine::restore(CheckpointId checkpoint, LaunchCallback cb) {
   c.idle_memory = img.image.base_memory;
   c.warm_app = img.warm_app;  // restored process state is warm
   reserve_or_swap(c.idle_memory);
-  containers_[id] = c;
-  ++launches_;
+  admit(std::move(c));
 
   const Duration d = cost_.restore_time(img.size, img.spec);
   StartupBreakdown breakdown;  // restore is a single "attach"-like phase
@@ -640,15 +668,6 @@ void ContainerEngine::discard_checkpointed(ContainerId id, DoneCallback cb) {
   });
 }
 
-std::size_t ContainerEngine::checkpointed_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kCheckpointed) ++n;
-  }
-  return n;
-}
-
 Bytes ContainerEngine::checkpointed_disk_used() const {
   Bytes total = 0;
   for (const auto& [id, c] : containers_) {
@@ -704,36 +723,11 @@ const Container* ContainerEngine::find(ContainerId id) const {
 }
 
 std::size_t ContainerEngine::live_count() const {
+  // Checkpointed containers are on disk, not in RAM: they count against
+  // the disk budget (checkpointed_count), never the live cap.
   std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    // Checkpointed containers are on disk, not in RAM: they count against
-    // the disk budget (checkpointed_count), never the live cap.
-    if (c.state != ContainerState::kRemoved &&
-        c.state != ContainerState::kCheckpointed) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t ContainerEngine::idle_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kIdle) ++n;
-  }
-  return n;
-}
-
-std::size_t ContainerEngine::busy_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, c] : containers_) {
-    (void)id;
-    if (c.state == ContainerState::kBusy ||
-        c.state == ContainerState::kCleaning) {
-      ++n;
-    }
+  for (std::size_t s = 0; s < kContainerStateCount; ++s) {
+    if (s != state_index(ContainerState::kCheckpointed)) n += state_counts_[s];
   }
   return n;
 }

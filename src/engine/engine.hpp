@@ -180,7 +180,9 @@ class ContainerEngine {
   void discard_checkpointed(ContainerId id, DoneCallback cb);
 
   /// Containers currently parked in the Checkpointed tier / their dumps.
-  [[nodiscard]] std::size_t checkpointed_count() const;
+  [[nodiscard]] std::size_t checkpointed_count() const {
+    return state_counts_[state_index(ContainerState::kCheckpointed)];
+  }
   [[nodiscard]] Bytes checkpointed_disk_used() const;
 
   /// Graceful stop + remove; releases memory, endpoint and volume.
@@ -192,9 +194,16 @@ class ContainerEngine {
 
   // --- introspection ---------------------------------------------------
   [[nodiscard]] const Container* find(ContainerId id) const;
+  /// State counts are kept up to date by every transition, so these are
+  /// O(1); HOTC_AUDIT builds check them against a scan after each change.
   [[nodiscard]] std::size_t live_count() const;
-  [[nodiscard]] std::size_t idle_count() const;
-  [[nodiscard]] std::size_t busy_count() const;
+  [[nodiscard]] std::size_t idle_count() const {
+    return state_counts_[state_index(ContainerState::kIdle)];
+  }
+  [[nodiscard]] std::size_t busy_count() const {
+    return state_counts_[state_index(ContainerState::kBusy)] +
+           state_counts_[state_index(ContainerState::kCleaning)];
+  }
   [[nodiscard]] Bytes memory_used() const { return memory_.used(); }
   [[nodiscard]] Bytes memory_high_watermark() const {
     return memory_.high_watermark();
@@ -239,7 +248,13 @@ class ContainerEngine {
   void attach_metrics(obs::Registry& registry);
 
  private:
+  /// The one FSM seam: every state change after creation goes through
+  /// here, and it keeps state_counts_ in step.
   void set_state(Container& c, ContainerState next);
+  /// Insert a freshly created (Provisioning) container and count it.
+  void admit(Container c);
+  /// HOTC_AUDIT builds: abort if state_counts_ disagrees with a scan.
+  void audit_state_counts() const;
   /// Shared phase arithmetic behind respecialize()/estimate_respecialize().
   [[nodiscard]] RespecReport respec_phases(const spec::RunSpec& donor,
                                            const spec::RunSpec& target,
@@ -259,6 +274,8 @@ class ContainerEngine {
   sim::CountingResource cpu_;
 
   std::map<ContainerId, Container> containers_;
+  /// Containers in containers_ per state (Removed is never counted).
+  std::array<std::size_t, kContainerStateCount> state_counts_{};
   ContainerId next_id_ = 1;
   Bytes swap_used_ = 0;
   std::uint64_t launches_ = 0;

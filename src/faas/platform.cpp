@@ -83,7 +83,6 @@ void FaasPlatform::Replay::complete(Result<CompletedRequest> done) {
     return;
   }
   const CompletedRequest& rec = done.value();
-  platform->completed_.push_back(rec);
   metrics::LatencyPoint p;
   p.request_id = rec.id;
   p.arrival = rec.submitted;
@@ -121,7 +120,9 @@ metrics::LatencyRecorder FaasPlatform::run(
     }
   }
 
-  const TimePoint last = arrivals.back().at;
+  // The latest arrival, not the last listed: the list need not be sorted.
+  const TimePoint last =
+      std::max_element(arrivals.begin(), arrivals.end())->at;
   const TimePoint horizon = last + options_.trailing_slack;
 
   if (auto* controller = hotc_controller()) {
@@ -157,7 +158,6 @@ metrics::LatencyRecorder FaasPlatform::run(
     HOTC_ASSERT_MSG(arrival.config_index < mix.size(),
                     "arrival names a config outside the mix");
   }
-  completed_.reserve(arrivals.size());
   replay.schedule(0);
 
   // Run every queued event; the monitor/adaptive loops stop themselves at

@@ -69,9 +69,6 @@ class FaasPlatform {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] engine::ContainerEngine& engine() { return engine_; }
   [[nodiscard]] Backend& backend() { return *backend_; }
-  [[nodiscard]] const std::vector<CompletedRequest>& completed() const {
-    return completed_;
-  }
   [[nodiscard]] std::uint64_t failed_requests() const { return failures_; }
 
   /// Non-null only under PolicyKind::kHotC.
@@ -108,7 +105,6 @@ class FaasPlatform {
   std::unique_ptr<Backend> backend_;
   std::unique_ptr<Gateway> gateway_;
   std::unique_ptr<engine::ResourceMonitor> monitor_;
-  std::vector<CompletedRequest> completed_;
   std::uint64_t failures_ = 0;
   bool ran_ = false;
 };

@@ -112,10 +112,13 @@ HotCController::KeyState& HotCController::key_state(
     state.canonical_spec = spec;
     state.predictor = options_.predictor_factory();
     state.drift = obs::PageHinkley(options_.drift);
-    it = keys_.emplace(key.id(), std::move(state)).first;
     // Every key the controller has seen is a potential donor for its
     // compatibility-class siblings.
-    if (donors_ != nullptr) donors_->record(key, spec);
+    if (donors_ != nullptr) {
+      state.compat = spec::CompatClass::from_spec(spec);
+      donors_->record(key, state.compat, spec);
+    }
+    it = keys_.emplace(key.id(), std::move(state)).first;
   }
   return it->second;
 }
@@ -170,8 +173,14 @@ void HotCController::handle_traced(const spec::RunSpec& spec,
 
   // Cross-key sharing: a compatible sibling's idle container may be
   // convertible for less than a cold start (src/share/).
-  if (donors_ != nullptr && try_donor(spec, app, key, arrival, trace_id, cb)) {
-    return;
+  if (donors_ != nullptr) {
+    // The subset key leaves the volumes out, and with them the volume
+    // topology the class includes, so there a request's class is not
+    // always its key's.
+    const spec::CompatClass cls = options_.use_subset_key
+                                      ? spec::CompatClass::from_spec(spec)
+                                      : state.compat;
+    if (try_donor(spec, app, key, cls, arrival, trace_id, cb)) return;
   }
 
   provision_cold(spec, app, key, arrival, trace_id, std::move(cb));
@@ -285,12 +294,13 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
 bool HotCController::try_donor(const spec::RunSpec& spec,
                                const engine::AppModel& app,
                                const spec::RuntimeKey& key,
+                               const spec::CompatClass& cls,
                                TimePoint arrival, std::uint64_t trace_id,
                                Callback& cb) {
   const TimePoint lookup_start = sim_.now();
   ++stats_.donor_lookups;
   if (obs_.donor_lookups != nullptr) obs_.donor_lookups->inc();
-  const auto cand = donors_->find_donor(spec, key, pool_);
+  const auto cand = donors_->find_donor(cls, key, pool_);
   emit_span(trace_id, obs::Stage::kDonorLookup, lookup_start,
             sim_.now() - lookup_start, key.hash(),
             cand.has_value() ? obs::kSpanHit : 0);
@@ -318,8 +328,8 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
   const pool::PoolEntry donor_entry = *donor;
   respec_->convert(
       donor_entry.id, spec,
-      [this, donor_entry, spec, app, key, arrival, respec_start, trace_id,
-       cb = std::move(cb)](Result<engine::RespecReport> r) mutable {
+      [this, donor_entry, spec, app, key, cls, arrival, respec_start,
+       trace_id, cb = std::move(cb)](Result<engine::RespecReport> r) mutable {
         if (!r.ok()) {
           emit_span(trace_id, obs::Stage::kRespecialize, respec_start,
                     sim_.now() - respec_start, key.hash(), obs::kSpanError);
@@ -344,7 +354,7 @@ bool HotCController::try_donor(const spec::RunSpec& spec,
         converted.prewarmed = false;
         converted.paused = false;
         converted.app_tag = 0;  // the wipe discarded the donor's app state
-        donors_->record(key, spec);
+        donors_->record(key, cls, spec);
         run_on(converted, spec, app, /*was_prewarmed=*/false, paid, arrival,
                trace_id, std::move(cb), /*was_resumed=*/false,
                /*was_restored=*/false, /*was_respecialized=*/true);
@@ -735,8 +745,8 @@ void HotCController::adaptive_tick() {
       // decays toward (but never reaches) zero.  A drift-muted key is
       // additionally barred from find_donor entirely — its surplus is
       // computed from a forecast the detector just distrusted.
-      donors_->set_muted(key, state.canonical_spec, in.donation_muted);
-      donors_->nominate(key, state.canonical_spec, decision.nominate_donor);
+      donors_->set_muted(key, state.compat, in.donation_muted);
+      donors_->nominate(key, state.compat, decision.nominate_donor);
     }
     for (std::size_t i = 0; i < decision.prewarms; ++i) prewarm(key, state);
     if (decision.retires > 0) {
@@ -816,10 +826,10 @@ void HotCController::adaptive_tick() {
   if (options_.slo != nullptr && options_.tsdb != nullptr) {
     // One consistent cut shared by the SLO engine and the time-series
     // store: both see the exact same instrument values, and the tick
-    // tail pays for a single Registry read.
-    const obs::RegistrySnapshot cut = options_.tsdb->registry().snapshot();
-    options_.slo->evaluate_snapshot(tick_, cut);
-    options_.tsdb->sample_snapshot(tick_, cut);
+    // tail pays for a single Registry read, refreshing the last one.
+    options_.tsdb->registry().snapshot(cut_);
+    options_.slo->evaluate_snapshot(tick_, cut_);
+    options_.tsdb->sample_snapshot(tick_, cut_);
   } else {
     if (options_.slo != nullptr) options_.slo->evaluate(tick_);
     if (options_.tsdb != nullptr) options_.tsdb->sample(tick_);

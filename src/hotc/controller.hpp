@@ -220,6 +220,9 @@ class HotCController {
  private:
   struct KeyState {
     spec::RunSpec canonical_spec;  // a spec that can recreate this runtime
+    /// CompatClass::from_spec(canonical_spec), derived once at first sight
+    /// (empty unless sharing is on).
+    spec::CompatClass compat;
     predict::PredictorPtr predictor;
     TimeSeries demand;     // observed per-interval peak concurrency
     TimeSeries forecast;   // what the predictor said for each interval
@@ -292,8 +295,8 @@ class HotCController {
   /// the request was taken over (cb moved from); false leaves cb intact
   /// and the caller cold-starts.
   bool try_donor(const spec::RunSpec& spec, const engine::AppModel& app,
-                 const spec::RuntimeKey& key, TimePoint arrival,
-                 std::uint64_t trace_id, Callback& cb);
+                 const spec::RuntimeKey& key, const spec::CompatClass& cls,
+                 TimePoint arrival, std::uint64_t trace_id, Callback& cb);
 
   /// Record one span when a tracer is attached (no-op otherwise).
   void emit_span(std::uint64_t trace_id, obs::Stage stage, TimePoint start,
@@ -357,6 +360,8 @@ class HotCController {
   std::uint64_t tick_ = 0;
   /// Donor hits as of the previous tick's summary record.
   std::uint64_t summary_donor_hits_ = 0;
+  /// The tick tail's registry cut, refreshed in place every tick.
+  obs::RegistrySnapshot cut_;
 };
 
 }  // namespace hotc

@@ -102,13 +102,12 @@ T& Registry::find_or_create(std::deque<T>& store, MetricKind kind,
   Entry e;
   e.name = name;
   // First registration of a name wins the help text, so families stay
-  // coherent across differently-labelled instances.
+  // coherent across differently-labelled instances.  Every instance of a
+  // name carries that text, so the first one in index order will do.
   e.help = help;
-  for (const Entry& prior : entries_) {
-    if (prior.name == name) {
-      e.help = prior.help;
-      break;
-    }
+  const auto prior = index_.lower_bound({name, std::string()});
+  if (prior != index_.end() && prior->first.first == name) {
+    e.help = entries_[prior->second].help;
   }
   e.kind = kind;
   e.labels = labels;
@@ -142,37 +141,51 @@ LogHistogram& Registry::histogram(const std::string& name,
 
 RegistrySnapshot Registry::snapshot() const {
   RegistrySnapshot out;
-  {
-    const RankedGuard lock(mu_);
-    out.reserve(entries_.size());
-    // One pass over every instrument: all values are read here, before
-    // any caller formats anything.
-    for (const Entry& e : entries_) {
-      MetricSample s;
+  snapshot(out);
+  return out;
+}
+
+void Registry::snapshot(RegistrySnapshot& cut) const {
+  const RankedGuard lock(mu_);
+  // index_ is in (name, labels) order, and instruments are only ever
+  // added, so the earlier cut is a subsequence of the new one.  Merge from
+  // the back: each old sample moves up to its new slot (never onto one
+  // still unread), and each new instrument fills the gap it sorts into.
+  std::size_t old = cut.size();
+  HOTC_ASSERT_MSG(old <= entries_.size(),
+                  "snapshot refresh given a cut of another registry");
+  cut.resize(entries_.size());
+  std::size_t slot = cut.size();
+  for (auto it = index_.rbegin(); it != index_.rend(); ++it) {
+    const std::size_t at = it->second;
+    const Entry& e = entries_[at];
+    MetricSample& s = cut[--slot];
+    if (old > 0 && cut[old - 1].index == at) {
+      --old;
+      if (old != slot) s = std::move(cut[old]);
+    } else {
       s.name = e.name;
       s.help = e.help;
       s.kind = e.kind;
       s.labels = e.labels;
-      switch (e.kind) {
-        case MetricKind::kCounter:
-          s.value = static_cast<double>(e.counter->value());
-          break;
-        case MetricKind::kGauge:
-          s.value = e.gauge->value();
-          break;
-        case MetricKind::kHistogram:
-          s.histogram = e.histogram->snapshot();
-          break;
-      }
-      out.push_back(std::move(s));
+      s.index = static_cast<std::uint32_t>(at);
+      s.histogram = HistogramSnapshot{};
+    }
+    // All values are read here, before any caller formats anything.
+    switch (e.kind) {
+      case MetricKind::kCounter:
+        s.value = static_cast<double>(e.counter->value());
+        break;
+      case MetricKind::kGauge:
+        s.value = e.gauge->value();
+        break;
+      case MetricKind::kHistogram:
+        s.histogram = e.histogram->snapshot();
+        break;
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name != b.name ? a.name < b.name
-                                      : a.labels < b.labels;
-            });
-  return out;
+  HOTC_ASSERT_MSG(old == 0,
+                  "snapshot refresh given a cut of another registry");
 }
 
 std::size_t Registry::size() const {

@@ -176,10 +176,17 @@ struct MetricSample {
   std::string labels;
   double value = 0.0;            // counter / gauge
   HistogramSnapshot histogram;   // kHistogram only
+  /// The instrument's registration index in its Registry: dense from 0,
+  /// fixed for the Registry's lifetime, so consumers that sample every
+  /// tick resolve an instrument once and key their state on this.
+  std::uint32_t index = 0;
 };
 
 /// Point-in-time copy of every instrument in a Registry, ordered by
 /// (name, labels).  Everything an exporter needs; no atomics inside.
+/// Instruments are never removed, so a later snapshot of the same
+/// Registry holds every index an earlier one held; new ones may sort
+/// anywhere.
 using RegistrySnapshot = std::vector<MetricSample>;
 
 class Registry {
@@ -201,6 +208,11 @@ class Registry {
   /// Read every instrument once, before any formatting: the consistent
   /// cut that exporters render from.
   [[nodiscard]] RegistrySnapshot snapshot() const;
+  /// As snapshot(), refreshing `cut` in place.  `cut` must be empty or an
+  /// earlier snapshot of this Registry: instruments it already holds keep
+  /// their strings and only their values are re-read, so a caller that
+  /// takes a cut every tick copies the identity of new instruments only.
+  void snapshot(RegistrySnapshot& cut) const;
 
   [[nodiscard]] std::size_t size() const;
 
@@ -222,6 +234,8 @@ class Registry {
 
   /// Guards the index only — never held while a caller increments.
   mutable RankedMutex mu_{LockRank::kObsRegistry, 0, "obs.registry"};
+  /// (name, labels) -> registration index; snapshot() walks it, so its
+  /// order is the snapshot's order.
   std::map<std::pair<std::string, std::string>, std::size_t> index_
       HOTC_GUARDED_BY(mu_);
   std::vector<Entry> entries_ HOTC_GUARDED_BY(mu_);

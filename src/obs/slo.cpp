@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <mutex>
+#include <tuple>
+
+#include "core/assert.hpp"
 
 namespace hotc::obs {
 
@@ -22,7 +25,8 @@ SloEngine::SloEngine(Registry& registry, std::vector<SloSpec> specs,
       options_(options),
       alerts_total_(registry.counter(
           "hotc_slo_alerts_total",
-          "Burn-rate alerts fired (fast AND slow window over budget)")) {}
+          "Burn-rate alerts fired (fast AND slow window over budget)")),
+      bindings_(specs_.size()) {}
 
 void SloEngine::evaluate(std::uint64_t tick) {
   evaluate_snapshot(tick, registry_.snapshot());
@@ -30,32 +34,94 @@ void SloEngine::evaluate(std::uint64_t tick) {
 
 void SloEngine::evaluate_snapshot(std::uint64_t tick,
                                   const RegistrySnapshot& snap) {
-  // Index the cut once; the snapshot is sorted by (name, labels) but a
-  // map keeps the pairing logic obvious.
-  std::map<std::pair<std::string, std::string>, const MetricSample*> index;
-  for (const MetricSample& s : snap) index[{s.name, s.labels}] = &s;
-
   const RankedGuard lock(mu_);
+  const std::size_t known = position_.size();
+  HOTC_ASSERT_MSG(snap.size() >= known,
+                  "SLO snapshot is older than the last one evaluated");
+  if (snap.size() != known) {
+    // The registry grew: new instruments may sort anywhere, so every
+    // position moves; only the new instruments are matched by name.
+    position_.resize(snap.size());
+    for (std::size_t p = 0; p < snap.size(); ++p) {
+      position_[snap[p].index] = static_cast<std::uint32_t>(p);
+    }
+    bind_new(snap, known);
+  }
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     const SloSpec& spec = specs_[i];
-    if (spec.kind == SloKind::kRatio) {
-      for (const MetricSample& s : snap) {
-        if (s.name != spec.bad_metric) continue;
-        Sample cur;
+    for (const Binding& b : bindings_[i]) {
+      const MetricSample& s = snap[position_[b.value]];
+      Sample cur;
+      if (spec.kind == SloKind::kRatio) {
         cur.bad = s.value;
-        const auto tot = index.find({spec.total_metric, s.labels});
-        cur.total = tot != index.end() ? tot->second->value : 0.0;
-        evaluate_series(tick, spec, s.labels, std::move(cur));
-      }
-    } else {
-      for (const MetricSample& s : snap) {
-        if (s.name != spec.histogram || s.kind != MetricKind::kHistogram) {
-          continue;
-        }
-        Sample cur;
+        cur.total =
+            b.total != kNoIndex ? snap[position_[b.total]].value : 0.0;
+      } else {
         cur.hist = s.histogram;
-        evaluate_series(tick, spec, s.labels, std::move(cur));
       }
+      evaluate_series(tick, spec, *b.series, std::move(cur));
+    }
+  }
+}
+
+void SloEngine::bind_new(const RegistrySnapshot& snap, std::size_t known) {
+  std::vector<const MetricSample*> fresh;
+  for (const MetricSample& s : snap) {
+    if (s.index >= known) fresh.push_back(&s);
+  }
+  const auto labels_less = [](const Binding& b, const std::string& labels) {
+    return b.series->last.labels < labels;
+  };
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    const SloSpec& spec = specs_[i];
+    std::vector<Binding>& bound = bindings_[i];
+    for (const MetricSample* s : fresh) {
+      const auto at = std::lower_bound(bound.begin(), bound.end(), s->labels,
+                                       labels_less);
+      if (spec.kind == SloKind::kRatio) {
+        // A total registered after its bad counter completes that series.
+        if (s->name == spec.total_metric && at != bound.end() &&
+            at->series->last.labels == s->labels && at->total == kNoIndex) {
+          at->total = s->index;
+        }
+        if (s->name != spec.bad_metric) continue;
+      } else if (s->name != spec.histogram ||
+                 s->kind != MetricKind::kHistogram) {
+        continue;
+      }
+      Binding b;
+      b.value = s->index;
+      if (spec.kind == SloKind::kRatio) {
+        // The snapshot is sorted by (name, labels).
+        const auto tot = std::lower_bound(
+            snap.begin(), snap.end(), std::tie(spec.total_metric, s->labels),
+            [](const MetricSample& m, const auto& key) {
+              return std::tie(m.name, m.labels) < key;
+            });
+        if (tot != snap.end() && tot->name == spec.total_metric &&
+            tot->labels == s->labels) {
+          b.total = tot->index;
+        }
+      }
+      Series& series = series_[{i, s->labels}];
+      series.last.slo = spec.name;
+      series.last.labels = s->labels;
+      // Registration while holding mu_ is legal: kObsDiagnosis sits below
+      // kObsRegistry in the lock order.
+      const std::string base = series_labels(spec.name, s->labels);
+      series.value_gauge = &registry_.gauge(
+          "hotc_slo_value", "Windowed SLO value (ratio or quantile)", base);
+      series.fast_gauge =
+          &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
+                           base + ",window=\"fast\"");
+      series.slow_gauge =
+          &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
+                           base + ",window=\"slow\"");
+      series.firing_gauge = &registry_.gauge(
+          "hotc_slo_firing", "1 while the burn-rate alert condition holds",
+          base);
+      b.series = &series;
+      bound.insert(at, b);
     }
   }
 }
@@ -92,27 +158,7 @@ double SloEngine::windowed_value(const SloSpec& spec,
 }
 
 void SloEngine::evaluate_series(std::uint64_t tick, const SloSpec& spec,
-                                const std::string& labels, Sample current) {
-  const std::size_t spec_idx =
-      static_cast<std::size_t>(&spec - specs_.data());
-  Series& series = series_[{spec_idx, labels}];
-  if (series.value_gauge == nullptr) {
-    // Lazy registration: legal while holding mu_ because kObsDiagnosis
-    // sits below kObsRegistry in the lock order.
-    const std::string base = series_labels(spec.name, labels);
-    series.value_gauge = &registry_.gauge(
-        "hotc_slo_value", "Windowed SLO value (ratio or quantile)", base);
-    series.fast_gauge =
-        &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
-                         base + ",window=\"fast\"");
-    series.slow_gauge =
-        &registry_.gauge("hotc_slo_burn_rate", "Error-budget burn rate",
-                         base + ",window=\"slow\"");
-    series.firing_gauge = &registry_.gauge(
-        "hotc_slo_firing", "1 while the burn-rate alert condition holds",
-        base);
-  }
-
+                                Series& series, Sample current) {
   series.ring.push_back(std::move(current));
   while (series.ring.size() > options_.slow_window + 1) {
     series.ring.pop_front();
@@ -132,8 +178,6 @@ void SloEngine::evaluate_series(std::uint64_t tick, const SloSpec& spec,
   const bool firing = series.ticks >= options_.min_ticks &&
                       fast >= spec.fire_factor && slow >= spec.fire_factor;
 
-  series.last.slo = spec.name;
-  series.last.labels = labels;
   series.last.value = value;
   series.last.fast_burn = fast;
   series.last.slow_burn = slow;
@@ -149,7 +193,8 @@ void SloEngine::evaluate_series(std::uint64_t tick, const SloSpec& spec,
   // not one per tick.
   if (firing && !was_firing) {
     alerts_total_.inc();
-    alert_ring_.push_back(SloAlert{tick, spec.name, labels, fast, slow});
+    alert_ring_.push_back(
+        SloAlert{tick, spec.name, series.last.labels, fast, slow});
     while (alert_ring_.size() > options_.alert_capacity) {
       alert_ring_.pop_front();
     }

@@ -11,7 +11,9 @@
 //
 // Each adaptive tick, SloEngine::evaluate() takes one Registry snapshot
 // (the exporter's consistent cut) and appends the cumulative counts to a
-// per-series ring.  Burn rate is the windowed value over the objective —
+// per-series ring.  A series is matched to its instruments by name once,
+// when they are registered; later ticks read them by registration index.
+// Burn rate is the windowed value over the objective —
 // burn 1.0 exactly consumes the error budget, burn >= fire_factor means
 // the budget drains fire_factor times too fast.  Two windows are kept:
 //   fast  (default 5 ticks)   catches a current, ongoing violation;
@@ -108,7 +110,9 @@ class SloEngine {
   void evaluate(std::uint64_t tick);
 
   /// As evaluate(), over a snapshot the caller already took (lets a tool
-  /// evaluate and render from the exact same cut).
+  /// evaluate and render from the exact same cut).  The snapshot must be
+  /// of this engine's registry and no older than the last one evaluated:
+  /// series are bound to MetricSample::index when they first appear.
   void evaluate_snapshot(std::uint64_t tick, const RegistrySnapshot& snap);
 
   /// Push an anomaly-detector finding into the alert ring (counts toward
@@ -139,9 +143,22 @@ class SloEngine {
     Gauge* firing_gauge = nullptr;
   };
 
-  void evaluate_series(std::uint64_t tick, const SloSpec& spec,
-                       const std::string& labels, Sample current)
+  /// One series a spec evaluates, bound to its instruments' registration
+  /// indices the first time a snapshot carries them.
+  static constexpr std::uint32_t kNoIndex = ~std::uint32_t{0};
+  struct Binding {
+    std::uint32_t value = 0;         // the bad counter, or the histogram
+    std::uint32_t total = kNoIndex;  // kRatio: same-labelled total metric
+    Series* series = nullptr;
+  };
+
+  /// Match the instruments with an index of `known` or above, those new
+  /// since the last snapshot evaluated, against every spec, and bind the
+  /// series they start or complete.
+  void bind_new(const RegistrySnapshot& snap, std::size_t known)
       HOTC_REQUIRES(mu_);
+  void evaluate_series(std::uint64_t tick, const SloSpec& spec,
+                       Series& series, Sample current) HOTC_REQUIRES(mu_);
   [[nodiscard]] static double windowed_value(const SloSpec& spec,
                                              const std::deque<Sample>& ring,
                                              std::size_t window);
@@ -154,6 +171,12 @@ class SloEngine {
   mutable RankedMutex mu_{LockRank::kObsDiagnosis, 0, "obs.slo"};
   std::map<std::pair<std::size_t, std::string>, Series> series_
       HOTC_GUARDED_BY(mu_);
+  /// Per spec, ordered by the instruments' labels: the order in which the
+  /// spec's instruments appear in a snapshot.
+  std::vector<std::vector<Binding>> bindings_ HOTC_GUARDED_BY(mu_);
+  /// Registration index -> position in the last snapshot evaluated; its
+  /// size is the number of instruments already matched against the specs.
+  std::vector<std::uint32_t> position_ HOTC_GUARDED_BY(mu_);
   std::deque<SloAlert> alert_ring_ HOTC_GUARDED_BY(mu_);
 };
 

@@ -177,25 +177,22 @@ void TimeSeriesStore::sample_snapshot(std::uint64_t tick,
                                       const RegistrySnapshot& snap) {
   const RankedGuard lock(mu_);
   std::uint8_t var[10];
-  // Resolve snapshot positions to series ids only when the registry
-  // grew: it is append-only and the snapshot sorted by (name, labels),
-  // so an unchanged count means an unchanged order, and the steady-state
-  // tick pays zero string lookups.
-  if (snap.size() != snap_sids_.size()) {
-    snap_sids_.clear();
-    snap_sids_.reserve(snap.size());
-    for (const MetricSample& s : snap) {
-      std::uint8_t kind = kCounterSeries;
-      if (s.kind == MetricKind::kGauge) kind = kGaugeSeries;
-      if (s.kind == MetricKind::kHistogram) kind = kHistogramSeries;
-      snap_sids_.push_back(find_or_add_series(s.name, s.labels, kind));
-    }
+  if (snap.size() > sid_by_index_.size()) {
+    sid_by_index_.resize(snap.size(), kUnresolved);
   }
   scratch_.clear();
   std::uint32_t encoded = 0;
-  for (std::size_t pos = 0; pos < snap.size(); ++pos) {
-    const MetricSample& s = snap[pos];
-    const std::size_t sid = snap_sids_[pos];
+  for (const MetricSample& s : snap) {
+    // Each instrument is resolved by name once, the first time a snapshot
+    // carries it.  New instruments are met in snapshot order, so series
+    // ids are handed out in (name, labels) order among them.
+    std::size_t& sid = sid_by_index_[s.index];
+    if (sid == kUnresolved) {
+      std::uint8_t kind = kCounterSeries;
+      if (s.kind == MetricKind::kGauge) kind = kGaugeSeries;
+      if (s.kind == MetricKind::kHistogram) kind = kHistogramSeries;
+      sid = find_or_add_series(s.name, s.labels, kind);
+    }
     if (sid == kNoSeries) continue;
     SeriesInfo& info = series_[sid];
     SideState& st = side_[sid];

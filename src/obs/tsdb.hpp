@@ -117,7 +117,8 @@ class TimeSeriesStore {
   /// Append one frame from a fresh Registry snapshot.
   void sample(std::uint64_t tick);
   /// As sample(), over a cut the caller already took — the controller
-  /// shares one snapshot between the SLO engine and this store.
+  /// shares one snapshot between the SLO engine and this store.  The cut
+  /// must be of registry(): series are keyed on MetricSample::index.
   void sample_snapshot(std::uint64_t tick, const RegistrySnapshot& snap);
 
   // --- queries (all under the store lock, safe against the sampler) --------
@@ -337,11 +338,11 @@ class TimeSeriesStore {
   // reuse lookup_'s capacity instead of building a pair of string copies.
   std::map<std::string, std::size_t> index_ HOTC_GUARDED_BY(mu_);
   std::string lookup_ HOTC_GUARDED_BY(mu_);
-  // Snapshot-position -> sid cache.  The registry is append-only and
-  // RegistrySnapshot is sorted by (name, labels), so an unchanged
-  // sample count means an unchanged order; the per-tick loop then skips
-  // every string lookup.  Rebuilt whenever the count changes.
-  std::vector<std::size_t> snap_sids_ HOTC_GUARDED_BY(mu_);
+  // Registration index (MetricSample::index) -> sid, kNoSeries when the
+  // tables were full, kUnresolved until a snapshot first carries it.
+  // Only new instruments cost a string lookup.
+  static constexpr std::size_t kUnresolved = kNoSeries - 1;
+  std::vector<std::size_t> sid_by_index_ HOTC_GUARDED_BY(mu_);
   // Anomaly checks since the last frame flush; folded into
   // anomaly_checks_total_ with one atomic add per sample_snapshot.
   std::uint64_t checks_batch_ HOTC_GUARDED_BY(mu_) = 0;

@@ -127,7 +127,10 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
     // Algorithm 1, wall-clock edition: claim a warm runtime from the
     // striped pool (one shard lock), pay delays outside any lock.
     const std::uint64_t app_tag = spec::fnv1a(app.name);
-    if (options_.enable_sharing) donors_.record(key, spec);
+    const spec::CompatClass cls = options_.enable_sharing
+                                      ? spec::CompatClass::from_spec(spec)
+                                      : spec::CompatClass();
+    if (options_.enable_sharing) donors_.record(key, cls, spec);
     std::optional<pool::PoolEntry> warm;
     {
       const obs::StageScope stage(obs::Stage::kPoolLookup);
@@ -150,7 +153,7 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
     if (!reused && options_.enable_sharing) {
       const obs::StageScope stage(obs::Stage::kDonorLookup);
       ++donor_lookups_;
-      const auto cand = donors_.find_donor(spec, key, warm_);
+      const auto cand = donors_.find_donor(cls, key, warm_);
       if (cand.has_value()) {
         // Wall-clock conversion = volume wipe/remount + env/exec delta
         // (image layers never differ inside a compatibility class' tag

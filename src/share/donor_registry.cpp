@@ -20,8 +20,8 @@ DonorRegistry::DonorRegistry(std::size_t stripe_count) {
 }
 
 void DonorRegistry::record(const spec::RuntimeKey& key,
+                           const spec::CompatClass& cls,
                            const spec::RunSpec& spec) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   Member& m = stripe.classes[cls][key];
@@ -29,8 +29,7 @@ void DonorRegistry::record(const spec::RuntimeKey& key,
 }
 
 void DonorRegistry::nominate(const spec::RuntimeKey& key,
-                             const spec::RunSpec& spec, bool on) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+                             const spec::CompatClass& cls, bool on) {
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   const auto cit = stripe.classes.find(cls);
@@ -41,8 +40,7 @@ void DonorRegistry::nominate(const spec::RuntimeKey& key,
 }
 
 void DonorRegistry::set_muted(const spec::RuntimeKey& key,
-                              const spec::RunSpec& spec, bool on) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+                              const spec::CompatClass& cls, bool on) {
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   const auto cit = stripe.classes.find(cls);
@@ -53,8 +51,7 @@ void DonorRegistry::set_muted(const spec::RuntimeKey& key,
 }
 
 void DonorRegistry::forget(const spec::RuntimeKey& key,
-                           const spec::RunSpec& spec) {
-  const spec::CompatClass cls = spec::CompatClass::from_spec(spec);
+                           const spec::CompatClass& cls) {
   Stripe& stripe = stripe_for(cls);
   const RankedGuard lock(stripe.mu);
   const auto cit = stripe.classes.find(cls);
@@ -64,14 +61,13 @@ void DonorRegistry::forget(const spec::RuntimeKey& key,
 }
 
 std::optional<DonorCandidate> DonorRegistry::find_donor(
-    const spec::RunSpec& request, const spec::RuntimeKey& exclude,
+    const spec::CompatClass& cls, const spec::RuntimeKey& exclude,
     const pool::PoolView& view) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   if (obs::Counter* c = lookup_counter_.load(std::memory_order_relaxed)) {
     c->inc();
   }
 
-  const spec::CompatClass cls = spec::CompatClass::from_spec(request);
   Stripe& stripe = stripe_for(cls);
   // The stripe lock (rank 45) is held across the PoolView liveness reads
   // below, which take pool-shard locks (rank 50) — a legal downward

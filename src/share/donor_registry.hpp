@@ -58,33 +58,38 @@ class DonorRegistry {
   DonorRegistry(const DonorRegistry&) = delete;
   DonorRegistry& operator=(const DonorRegistry&) = delete;
 
+  // Every call names the key's compatibility class, `CompatClass::
+  // from_spec` of its spec: callers derive it once per key and keep it,
+  // so the per-tick nomination updates never rebuild the class text.
+
   /// Make a key discoverable as a potential donor (idempotent upsert; the
   /// stored spec is refreshed).  Called whenever the controller first sees
   /// a key and whenever a converted container re-enters under a new key.
-  void record(const spec::RuntimeKey& key, const spec::RunSpec& spec);
+  void record(const spec::RuntimeKey& key, const spec::CompatClass& cls,
+              const spec::RunSpec& spec);
 
   /// Mark or clear Algorithm-3 nomination: the hybrid predictor forecasts
   /// this key as over-provisioned, so its idle surplus should be donated
   /// first.  No-op if the key was never recorded.
-  void nominate(const spec::RuntimeKey& key, const spec::RunSpec& spec,
+  void nominate(const spec::RuntimeKey& key, const spec::CompatClass& cls,
                 bool on);
 
   /// Drift mute (obs/drift.hpp feedback): a muted key is skipped by
   /// find_donor entirely — its surplus derives from a forecast the drift
   /// detector just distrusted.  No-op if the key was never recorded.
-  void set_muted(const spec::RuntimeKey& key, const spec::RunSpec& spec,
+  void set_muted(const spec::RuntimeKey& key, const spec::CompatClass& cls,
                  bool on);
 
   /// Drop a key from the index (its function was retired).
-  void forget(const spec::RuntimeKey& key, const spec::RunSpec& spec);
+  void forget(const spec::RuntimeKey& key, const spec::CompatClass& cls);
 
-  /// Find an idle donor for `request`: a recorded sibling key in the same
-  /// compatibility class, not `exclude` (the request's own key), with
+  /// Find an idle donor for a request of class `cls`: a recorded sibling
+  /// key in that class, not `exclude` (the request's own key), with
   /// `view.num_available(key) > 0` right now.  Nominated keys win over
   /// merely-live ones.  The liveness probe is advisory — the caller must
   /// still handle an empty lease (the container may be taken concurrently).
   [[nodiscard]] std::optional<DonorCandidate> find_donor(
-      const spec::RunSpec& request, const spec::RuntimeKey& exclude,
+      const spec::CompatClass& cls, const spec::RuntimeKey& exclude,
       const pool::PoolView& view) const;
 
   // --- introspection ----------------------------------------------------

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "engine/app.hpp"
 
@@ -43,6 +44,27 @@ TEST_F(GatewayTest, TimestampsAreOrdered) {
   EXPECT_LE(done->t4, done->t5);
   EXPECT_LE(done->t5, done->t6);
   EXPECT_EQ(done->total(), done->t6 - done->submitted);
+}
+
+TEST_F(GatewayTest, CompletedRequestsHaveTimestamps) {
+  ControllerOptions opt;
+  HotCBackend backend(engine_, opt);
+  Gateway gw(sim_, backend);
+  std::vector<CompletedRequest> done;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    sim_.at(seconds(10) * static_cast<std::int64_t>(i), [&, i]() {
+      gw.submit(i + 1, 0, python_spec(), engine::apps::random_number(),
+                [&](Result<CompletedRequest> r) {
+                  done.push_back(r.value());
+                });
+    });
+  }
+  sim_.run();
+  ASSERT_EQ(done.size(), 3u);
+  for (const auto& c : done) {
+    EXPECT_GT(c.t6, c.submitted);
+    EXPECT_GE(c.t3, c.t2);
+  }
 }
 
 TEST_F(GatewayTest, ColdInitiationDominatesLatency) {

@@ -74,16 +74,26 @@ TEST(Platform, MonitorCollectsWhenEnabled) {
   EXPECT_GT(platform.monitor()->cpu().size(), 10u);
 }
 
-TEST(Platform, CompletedRequestsHaveTimestamps) {
-  PlatformOptions opt;
-  opt.policy = PolicyKind::kHotC;
-  FaasPlatform platform(opt);
-  platform.run(workload::serial(3, seconds(10)), qr_mix());
-  ASSERT_EQ(platform.completed().size(), 3u);
-  for (const auto& c : platform.completed()) {
-    EXPECT_GT(c.t6, c.submitted);
-    EXPECT_GE(c.t3, c.t2);
+// The run horizon follows the latest arrival, wherever it is listed: the
+// adaptive loop must keep ticking through it, exactly as for the same
+// arrivals listed in time order.
+TEST(Platform, HorizonFollowsLatestArrivalNotLastListed) {
+  const workload::ArrivalList sorted = {{seconds(0), 0},
+                                        {minutes(2), 1},
+                                        {minutes(5), 0}};
+  const workload::ArrivalList unsorted = {sorted[2], sorted[1], sorted[0]};
+  std::uint64_t ticks[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    PlatformOptions opt;
+    opt.policy = PolicyKind::kHotC;
+    FaasPlatform platform(opt);
+    const auto recorder = platform.run(i == 0 ? sorted : unsorted, qr_mix());
+    EXPECT_EQ(recorder.size(), 3u);
+    ticks[i] = platform.hotc_controller()->adaptive_ticks();
   }
+  // 30 s ticks through the latest arrival (5 min) plus the 2 min slack.
+  EXPECT_EQ(ticks[0], 14u);
+  EXPECT_EQ(ticks[1], ticks[0]);
 }
 
 TEST(Platform, EmptyWorkload) {

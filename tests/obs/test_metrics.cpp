@@ -63,6 +63,103 @@ TEST(Registry, SnapshotIsSortedByNameThenLabels) {
   EXPECT_EQ(snap[2].name, "hotc_zzz_total");
 }
 
+TEST(Registry, FirstHelpTextWinsWhenALaterInstanceSortsFirst) {
+  Registry reg;
+  reg.counter("hotc_family_total", "the real help", "shard=\"1\"");
+  reg.counter("hotc_family_total", "a different string", "shard=\"0\"");
+  const RegistrySnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].labels, "shard=\"0\"");
+  EXPECT_EQ(snap[0].help, "the real help");
+  EXPECT_EQ(snap[1].help, "the real help");
+}
+
+// Instruments registered between snapshots sort in wherever their
+// (name, labels) falls — "key=\"10\"" before "key=\"9\"" — while every
+// instrument keeps the registration index it was given.
+TEST(Registry, SnapshotOrderAndIndicesHoldAcrossGrowth) {
+  Registry reg;
+  reg.counter("hotc_key_total", "k", "key=\"9\"");
+  reg.counter("hotc_key_total", "k", "key=\"8\"");
+  reg.gauge("hotc_zzz", "z");
+  const RegistrySnapshot before = reg.snapshot();
+  reg.counter("hotc_key_total", "k", "key=\"10\"");
+  reg.gauge("hotc_aaa", "a");
+  reg.counter("hotc_key_total", "k", "key=\"1\"");
+  const RegistrySnapshot after = reg.snapshot();
+  ASSERT_EQ(after.size(), 6u);
+
+  const auto name_labels_less = [](const MetricSample& a,
+                                   const MetricSample& b) {
+    return a.name != b.name ? a.name < b.name : a.labels < b.labels;
+  };
+  EXPECT_TRUE(std::is_sorted(before.begin(), before.end(), name_labels_less));
+  EXPECT_TRUE(std::is_sorted(after.begin(), after.end(), name_labels_less));
+  EXPECT_EQ(after[0].name, "hotc_aaa");
+  EXPECT_EQ(after[1].labels, "key=\"1\"");
+  EXPECT_EQ(after[2].labels, "key=\"10\"");
+  EXPECT_EQ(after[3].labels, "key=\"8\"");
+  EXPECT_EQ(after[4].labels, "key=\"9\"");
+
+  // Indices are registration order, dense, and fixed per instrument.
+  const std::vector<std::uint32_t> want = {4, 5, 3, 1, 0, 2};
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].index, want[i]) << after[i].name << after[i].labels;
+  }
+  for (const MetricSample& old : before) {
+    const auto it = std::find_if(
+        after.begin(), after.end(), [&](const MetricSample& s) {
+          return s.name == old.name && s.labels == old.labels;
+        });
+    ASSERT_NE(it, after.end());
+    EXPECT_EQ(it->index, old.index);
+  }
+}
+
+// A cut refreshed in place every round equals a fresh snapshot, while
+// instruments of every kind are added at random points of the order.
+TEST(Registry, RefreshedCutEqualsAFreshSnapshot) {
+  Registry reg;
+  Rng rng(7);
+  RegistrySnapshot cut;
+  std::vector<Counter*> counters;
+  std::vector<LogHistogram*> histograms;
+  for (int round = 0; round < 30; ++round) {
+    for (int k = rng.uniform_int(0, 4); k > 0; --k) {
+      const std::string labels =
+          "key=\"" + std::to_string(rng.uniform_int(0, 400)) + "\"";
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          counters.push_back(&reg.counter("hotc_key_total", "c", labels));
+          break;
+        case 1:
+          reg.gauge("hotc_aaa_level", "g", labels)
+              .set(rng.uniform(0.0, 9.0));
+          break;
+        default:
+          histograms.push_back(&reg.histogram("hotc_mid_ms", "h", labels));
+          break;
+      }
+    }
+    for (Counter* c : counters) c->inc(static_cast<std::uint64_t>(round));
+    for (LogHistogram* h : histograms) h->observe(1.0 + round);
+    reg.snapshot(cut);
+    const RegistrySnapshot fresh = reg.snapshot();
+    ASSERT_EQ(cut.size(), fresh.size());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(cut[i].name, fresh[i].name);
+      EXPECT_EQ(cut[i].help, fresh[i].help);
+      EXPECT_EQ(cut[i].labels, fresh[i].labels);
+      EXPECT_EQ(cut[i].kind, fresh[i].kind);
+      EXPECT_EQ(cut[i].index, fresh[i].index);
+      EXPECT_EQ(cut[i].value, fresh[i].value);
+      EXPECT_EQ(cut[i].histogram.counts, fresh[i].histogram.counts);
+      EXPECT_EQ(cut[i].histogram.total, fresh[i].histogram.total);
+    }
+  }
+  EXPECT_GT(cut.size(), 20u);
+}
+
 TEST(Registry, SnapshotCapturesValues) {
   Registry reg;
   reg.counter("hotc_events_total", "events").inc(7);

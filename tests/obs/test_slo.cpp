@@ -193,6 +193,73 @@ TEST(SloEngine, LabelledSeriesTrackIndependently) {
   EXPECT_TRUE(saw_b);
 }
 
+// A per-key ratio series keeps its ring when the registry grows with
+// instruments that sort before it, and a key whose counters appear
+// between ticks is evaluated from that tick on — including a key whose
+// total counter is registered a tick after its bad counter.
+TEST(SloEngine, SeriesSurviveRegistryGrowthAndNewKeysJoinAtOnce) {
+  Registry registry;
+  Counter& bad9 = registry.counter("hotc_test_bad_total", "bad", "key=\"9\"");
+  Counter& all9 = registry.counter("hotc_test_all_total", "all", "key=\"9\"");
+  SloEngine engine(registry, {ratio_spec(0.1)}, small_windows());
+  const auto status_of = [&](const std::string& labels) {
+    for (const SloStatus& s : engine.status()) {
+      if (s.labels == labels) return s;
+    }
+    return SloStatus{};
+  };
+
+  // Ticks 1-3: key 9 clean.
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    all9.inc(10);
+    engine.evaluate(t);
+  }
+  // Tick 4: key 10 appears (sorting first), with an unrelated instrument;
+  // key 9 turns bad.
+  Counter& bad10 =
+      registry.counter("hotc_test_bad_total", "bad", "key=\"10\"");
+  Counter& all10 =
+      registry.counter("hotc_test_all_total", "all", "key=\"10\"");
+  registry.gauge("hotc_aaa_unrelated", "u").set(1.0);
+  bad9.inc(5);
+  all9.inc(10);
+  bad10.inc(1);
+  all10.inc(4);
+  engine.evaluate(4);
+
+  SloStatus s9 = status_of("key=\"9\"");
+  EXPECT_EQ(s9.ticks, 4u);
+  // Fast window (3 ticks) spans the growth: 5 bad of 30.
+  EXPECT_DOUBLE_EQ(s9.value, 5.0 / 30.0);
+  SloStatus s10 = status_of("key=\"10\"");
+  EXPECT_EQ(s10.slo, "err_ratio");
+  EXPECT_EQ(s10.ticks, 1u);
+  EXPECT_DOUBLE_EQ(s10.value, 0.0);  // one reading: no window yet
+
+  // Tick 5: key 11's bad counter appears alone; tick 6 brings its total.
+  Counter& bad11 =
+      registry.counter("hotc_test_bad_total", "bad", "key=\"11\"");
+  bad11.inc(2);
+  all10.inc(4);
+  bad10.inc(1);
+  engine.evaluate(5);
+  EXPECT_EQ(status_of("key=\"11\"").ticks, 1u);
+  EXPECT_DOUBLE_EQ(status_of("key=\"10\"").value, 1.0 / 4.0);
+
+  Counter& all11 =
+      registry.counter("hotc_test_all_total", "all", "key=\"11\"");
+  all11.inc(8);
+  bad11.inc(2);
+  engine.evaluate(6);
+  const SloStatus s11 = status_of("key=\"11\"");
+  EXPECT_EQ(s11.ticks, 2u);
+  EXPECT_DOUBLE_EQ(s11.value, 2.0 / 8.0);
+
+  s9 = status_of("key=\"9\"");
+  EXPECT_EQ(s9.ticks, 6u);
+  EXPECT_EQ(engine.status().size(), 3u);
+}
+
 TEST(SloEngine, QuantileSpecAnswersFromWindowDelta) {
   Registry registry;
   LogHistogram& hist =

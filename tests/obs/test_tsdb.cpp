@@ -171,6 +171,67 @@ TEST(Tsdb, LabelledSeriesStayDistinct) {
   EXPECT_TRUE(tsdb.range("hotc_test_keyed_total", "key=\"3\"").empty());
 }
 
+/// "name|labels" of series `sid`, read from the dumped tables.
+std::string series_text(const TimeSeriesStore& tsdb, std::size_t sid) {
+  const auto* table = static_cast<const TimeSeriesStore::SeriesInfo*>(
+      tsdb.series_region().data);
+  const auto* names = static_cast<const char*>(tsdb.name_region().data);
+  return std::string(names + table[sid].name_off, table[sid].name_len);
+}
+
+// Instruments registered between ticks that sort before existing ones
+// must not move the existing series: ids stay, history keeps decoding,
+// and the new series get ids in (name, labels) order.
+TEST(Tsdb, SeriesIdsSurviveGrowthThatSortsFirst) {
+  Registry registry;
+  Counter& nine = registry.counter("hotc_test_key_total", "k", "key=\"9\"");
+  TimeSeriesStore tsdb(registry);
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    nine.inc(t);
+    tsdb.sample(t);
+  }
+  const std::size_t old_count = tsdb.series_count();
+  std::vector<std::string> old_names;
+  for (std::size_t sid = 0; sid < old_count; ++sid) {
+    old_names.push_back(series_text(tsdb, sid));
+  }
+
+  Gauge& first = registry.gauge("hotc_aaa_depth", "a");
+  Counter& ten = registry.counter("hotc_test_key_total", "k", "key=\"10\"");
+  for (std::uint64_t t = 4; t <= 6; ++t) {
+    nine.inc(t);
+    ten.inc(10 * t);
+    first.set(static_cast<double>(t) / 2.0);
+    tsdb.sample(t);
+  }
+
+  ASSERT_EQ(tsdb.series_count(), old_count + 2);
+  for (std::size_t sid = 0; sid < old_count; ++sid) {
+    EXPECT_EQ(series_text(tsdb, sid), old_names[sid]);
+  }
+  EXPECT_EQ(series_text(tsdb, old_count), "hotc_aaa_depth|");
+  EXPECT_EQ(series_text(tsdb, old_count + 1),
+            "hotc_test_key_total|key=\"10\"");
+
+  const auto p9 = tsdb.range("hotc_test_key_total", "key=\"9\"");
+  ASSERT_EQ(p9.size(), 6u);
+  double cum = 0.0;
+  for (std::size_t i = 0; i < p9.size(); ++i) {
+    cum += static_cast<double>(i + 1);
+    EXPECT_EQ(p9[i].tick, i + 1);
+    EXPECT_DOUBLE_EQ(p9[i].value, cum);
+  }
+  const auto p10 = tsdb.rate("hotc_test_key_total", "key=\"10\"");
+  ASSERT_EQ(p10.size(), 3u);
+  for (std::size_t i = 0; i < p10.size(); ++i) {
+    EXPECT_EQ(p10[i].tick, i + 4);
+    EXPECT_DOUBLE_EQ(p10[i].value, 10.0 * static_cast<double>(i + 4));
+  }
+  const auto pa = tsdb.range("hotc_aaa_depth", "");
+  ASSERT_EQ(pa.size(), 3u);
+  EXPECT_DOUBLE_EQ(pa.back().value, 3.0);
+}
+
 TEST(Tsdb, HistogramQuantilesOverWindow) {
   Registry registry;
   LogHistogram& h = registry.histogram("hotc_test_lat_ms", "lat");

@@ -31,6 +31,10 @@ spec::RunSpec function_spec(const std::string& image,
   return s;
 }
 
+spec::CompatClass cls(const spec::RunSpec& spec) {
+  return spec::CompatClass::from_spec(spec);
+}
+
 pool::PoolEntry entry(engine::ContainerId id, const spec::RuntimeKey& key) {
   pool::PoolEntry e;
   e.id = id;
@@ -53,13 +57,13 @@ TEST_F(DonorRegistryTest, FindsSiblingWithSurplusStock) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(spec::RuntimeKey::from_spec(req), req);
-  registry_.record(sib_key, sib);
+  registry_.record(spec::RuntimeKey::from_spec(req), cls(req), req);
+  registry_.record(sib_key, cls(sib), sib);
   add_idle(sib_key, 1);
   add_idle(sib_key, 2);  // surplus: donating one still leaves one
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_FALSE(cand->nominated);
@@ -70,20 +74,20 @@ TEST_F(DonorRegistryTest, FindsSiblingWithSurplusStock) {
 TEST_F(DonorRegistryTest, NeverReturnsTheRequestsOwnKey) {
   const auto req = function_spec("python", "alpha");
   const auto key = spec::RuntimeKey::from_spec(req);
-  registry_.record(key, req);
+  registry_.record(key, cls(req), req);
   add_idle(key, 1);
   add_idle(key, 2);
-  EXPECT_FALSE(registry_.find_donor(req, key, pool_).has_value());
+  EXPECT_FALSE(registry_.find_donor(cls(req), key, pool_).has_value());
 }
 
 TEST_F(DonorRegistryTest, NonNominatedKeyKeepsItsLastIdleRuntime) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
+  registry_.record(sib_key, cls(sib), sib);
   add_idle(sib_key, 1);  // exactly one idle: reserved for its own key
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -91,19 +95,19 @@ TEST_F(DonorRegistryTest, NominationReleasesTheLastIdleRuntime) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
-  registry_.nominate(sib_key, sib, true);
+  registry_.record(sib_key, cls(sib), sib);
+  registry_.nominate(sib_key, cls(sib), true);
   add_idle(sib_key, 1);
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, sib_key);
   EXPECT_TRUE(cand->nominated);
 
-  registry_.nominate(sib_key, sib, false);
+  registry_.nominate(sib_key, cls(sib), false);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -113,15 +117,15 @@ TEST_F(DonorRegistryTest, NominatedDonorWinsOverMerelyLive) {
   const auto nominated = function_spec("python", "gamma");
   const auto live_key = spec::RuntimeKey::from_spec(live);
   const auto nom_key = spec::RuntimeKey::from_spec(nominated);
-  registry_.record(live_key, live);
-  registry_.record(nom_key, nominated);
-  registry_.nominate(nom_key, nominated, true);
+  registry_.record(live_key, cls(live), live);
+  registry_.record(nom_key, cls(nominated), nominated);
+  registry_.nominate(nom_key, cls(nominated), true);
   add_idle(live_key, 1);
   add_idle(live_key, 2);
   add_idle(nom_key, 3);
 
   const auto cand =
-      registry_.find_donor(req, spec::RuntimeKey::from_spec(req), pool_);
+      registry_.find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_);
   ASSERT_TRUE(cand.has_value());
   EXPECT_EQ(cand->key, nom_key);
 }
@@ -130,12 +134,12 @@ TEST_F(DonorRegistryTest, NeverCrossesCompatibilityClasses) {
   const auto req = function_spec("python", "alpha");
   const auto other = function_spec("golang", "beta");
   const auto other_key = spec::RuntimeKey::from_spec(other);
-  registry_.record(other_key, other);
-  registry_.nominate(other_key, other, true);
+  registry_.record(other_key, cls(other), other);
+  registry_.nominate(other_key, cls(other), true);
   add_idle(other_key, 1);
   add_idle(other_key, 2);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -143,14 +147,14 @@ TEST_F(DonorRegistryTest, ForgetDropsTheKey) {
   const auto req = function_spec("python", "alpha");
   const auto sib = function_spec("python", "beta");
   const auto sib_key = spec::RuntimeKey::from_spec(sib);
-  registry_.record(sib_key, sib);
-  registry_.nominate(sib_key, sib, true);
+  registry_.record(sib_key, cls(sib), sib);
+  registry_.nominate(sib_key, cls(sib), true);
   add_idle(sib_key, 1);
   EXPECT_EQ(registry_.known_keys(), 1u);
-  registry_.forget(sib_key, sib);
+  registry_.forget(sib_key, cls(sib));
   EXPECT_EQ(registry_.known_keys(), 0u);
   EXPECT_FALSE(registry_
-                   .find_donor(req, spec::RuntimeKey::from_spec(req), pool_)
+                   .find_donor(cls(req), spec::RuntimeKey::from_spec(req), pool_)
                    .has_value());
 }
 
@@ -167,7 +171,7 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   for (int i = 0; i < kKeys; ++i) {
     specs.push_back(function_spec("python", "fn-" + std::to_string(i)));
     keys.push_back(spec::RuntimeKey::from_spec(specs.back()));
-    registry_.record(keys.back(), specs.back());
+    registry_.record(keys.back(), cls(specs.back()), specs.back());
     pool_.add_available(entry(static_cast<engine::ContainerId>(i + 1),
                               keys.back()),
                         seconds(1));
@@ -178,8 +182,8 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
   threads.emplace_back([&]() {
     for (int i = 0; i < kOpsPerThread; ++i) {
       const int k = i % kKeys;
-      registry_.record(keys[k], specs[k]);
-      registry_.nominate(keys[k], specs[k], i % 2 == 0);
+      registry_.record(keys[k], cls(specs[k]), specs[k]);
+      registry_.nominate(keys[k], cls(specs[k]), i % 2 == 0);
     }
   });
   // Returners: keep fresh idle stock flowing into every key.
@@ -196,7 +200,7 @@ TEST_F(DonorRegistryTest, CoherentUnderConcurrentLeaseAndReturn) {
     threads.emplace_back([&, t]() {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = (i + t) % kKeys;
-        const auto cand = registry_.find_donor(specs[k], keys[k], pool_);
+        const auto cand = registry_.find_donor(cls(specs[k]), keys[k], pool_);
         if (!cand.has_value()) continue;
         auto donor = pool_.acquire_for_donation(cand->key, seconds(3 + i));
         if (!donor.has_value()) continue;  // lost the race: fine
