@@ -201,9 +201,8 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
   enforce_pressure();  // make room before allocating a new runtime
 
   // Tiered warm state: a demoted runtime parked in the checkpoint store
-  // beats both the legacy clone-restore and a full cold boot — the restore
-  // is consuming, so the conservation ledger sees demotes == restores +
-  // evictions + still-stored.
+  // beats a full cold boot — the restore is consuming, so the conservation
+  // ledger sees demotes == restores + evictions + still-stored.
   if (store_ != nullptr) {
     const auto snap = store_->take(key.id(), sim_.now());
     if (snap.has_value()) {
@@ -251,19 +250,11 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
                                  const spec::RuntimeKey& key,
                                  TimePoint arrival, std::uint64_t trace_id,
                                  Callback cb) {
-  // Checkpoint/restore extension: a retired runtime's dump beats a full
-  // cold boot when one exists for this key.
-  const auto ckpt = checkpoints_.find(key.id());
-  const bool restoring =
-      options_.use_checkpoint_restore && ckpt != checkpoints_.end();
-
-  auto on_provisioned = [this, key, spec, app, arrival, restoring, trace_id,
-                         cb = std::move(cb)](
-                            Result<engine::LaunchReport> r) {
-    const obs::Stage stage =
-        restoring ? obs::Stage::kRestore : obs::Stage::kColdStart;
+  engine_.launch(spec, [this, key, spec, app, arrival, trace_id,
+                        cb = std::move(cb)](Result<engine::LaunchReport> r) {
     if (!r.ok()) {
-      emit_span(trace_id, stage, arrival, sim_.now() - arrival, key.hash(),
+      emit_span(trace_id, obs::Stage::kColdStart, arrival,
+                sim_.now() - arrival, key.hash(),
                 obs::kSpanCold | obs::kSpanError);
       auto it = keys_.find(key.id());
       if (it != keys_.end() && it->second.busy_now > 0) {
@@ -272,23 +263,16 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
       cb(Result<RequestOutcome>(r.error()));
       return;
     }
-    if (restoring) ++stats_.restores;
     stats_.cold_start_seconds += to_seconds(r.value().breakdown.total());
-    emit_span(trace_id, stage, arrival, r.value().breakdown.total(),
-              key.hash(), obs::kSpanCold);
+    emit_span(trace_id, obs::Stage::kColdStart, arrival,
+              r.value().breakdown.total(), key.hash(), obs::kSpanCold);
     pool::PoolEntry fresh;
     fresh.id = r.value().container;
     fresh.key = key;
     fresh.created_at = sim_.now();
     run_on(fresh, spec, app, /*was_prewarmed=*/false,
-           r.value().breakdown.total(), arrival, trace_id, cb,
-           /*was_resumed=*/false, /*was_restored=*/restoring);
-  };
-  if (restoring) {
-    engine_.restore(ckpt->second, std::move(on_provisioned));
-  } else {
-    engine_.launch(spec, std::move(on_provisioned));
-  }
+           r.value().breakdown.total(), arrival, trace_id, cb);
+  });
 }
 
 bool HotCController::try_donor(const spec::RunSpec& spec,
@@ -540,20 +524,6 @@ void HotCController::retire_entry(const pool::PoolEntry& entry,
     (pressure ? obs_.evictions : obs_.retires)->inc();
   }
   notify_pool_change(entry.key);
-  // Checkpoint/restore extension: dump the warm state before losing it
-  // (first retirement per key only — the image stays valid thereafter).
-  // A Paused container must skip the dump: the engine checkpoints Idle.
-  if (options_.use_checkpoint_restore && !entry.paused &&
-      checkpoints_.find(entry.key.id()) == checkpoints_.end()) {
-    ++stats_.checkpoints;
-    engine_.checkpoint(
-        entry.id,
-        [this, entry](Result<engine::ContainerEngine::CheckpointId> r) {
-          if (r.ok()) checkpoints_[entry.key.id()] = r.value();
-          engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        });
-    return;
-  }
   engine_.stop_and_remove(entry.id, [](Result<bool>) {});
 }
 
@@ -709,9 +679,7 @@ void HotCController::adaptive_tick() {
       }
     }
     state.predictor->observe(demand);
-    state.demand.add(now, demand);
     const double forecast = std::max(0.0, state.predictor->predict());
-    state.forecast.add(now, forecast);
     state.last_forecast = forecast;
     state.interval_peak = state.busy_now;
     state.interval_requests = 0;
@@ -865,18 +833,6 @@ void HotCController::start_adaptive_loop(TimePoint until) {
       options_.adaptive_interval,
       [this]() { return adaptive_running_ && sim_.now() <= adaptive_until_; },
       [this]() { adaptive_tick(); });
-}
-
-const TimeSeries* HotCController::demand_history(
-    const spec::RuntimeKey& key) const {
-  const auto it = keys_.find(key.id());
-  return it == keys_.end() ? nullptr : &it->second.demand;
-}
-
-const TimeSeries* HotCController::forecast_history(
-    const spec::RuntimeKey& key) const {
-  const auto it = keys_.find(key.id());
-  return it == keys_.end() ? nullptr : &it->second.forecast;
 }
 
 std::optional<double> HotCController::current_forecast(

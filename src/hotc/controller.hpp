@@ -20,7 +20,6 @@
 
 #include "core/annotations.hpp"
 #include "core/result.hpp"
-#include "core/series.hpp"
 #include "engine/engine.hpp"
 #include "obs/blackbox.hpp"
 #include "obs/drift.hpp"
@@ -60,15 +59,11 @@ struct ControllerOptions {
   /// most of their memory footprint for a page-fault resume latency on
   /// the next hit.  An extension over the paper (Docker pause).
   Duration pause_idle_after = kZeroDuration;
-  /// CRIU-style checkpoint/restore (the Replayable-Execution [34] idea):
-  /// when the adaptive loop retires a runtime, dump its warm state first;
-  /// later misses for that key restore the dump instead of cold-starting.
-  bool use_checkpoint_restore = false;
-  /// Tiered warm state (DESIGN.md §16): retire/evict victims that pass the
-  /// economic gate are demoted *in place* into a capacity-bounded
+  /// Tiered warm state (DESIGN.md §16), the CRIU-style checkpoint/restore
+  /// of the Replayable-Execution [34] idea: retire/evict victims that pass
+  /// the economic gate are demoted *in place* into a capacity-bounded
   /// checkpoint store instead of being destroyed, and the miss path tries
-  /// a consuming restore before paying a full cold start.  Orthogonal to
-  /// the legacy once-per-key `use_checkpoint_restore` clone flow.
+  /// a consuming restore before paying a full cold start.
   snapshot::TieringOptions tiering;
   /// Use the subset key (paper §VII extension): env/volumes/command are
   /// re-applied rather than part of the key.
@@ -94,8 +89,9 @@ struct ControllerOptions {
   obs::Registry* registry = nullptr;
   /// Diagnosis layer (all optional, must outlive the controller).  The
   /// journal receives one DecisionRecord per key per adaptive tick plus a
-  /// per-tick summary; the SLO engine is evaluated once per tick after
-  /// the decisions land.
+  /// per-tick summary — the controller's only per-tick decision record
+  /// (observed demand, forecast, resize) — and the SLO engine is evaluated
+  /// once per tick after the decisions land.
   obs::DecisionJournal* journal = nullptr;
   obs::SloEngine* slo = nullptr;
   /// Retained metric history (obs/tsdb.hpp): sampled once per adaptive
@@ -143,7 +139,7 @@ struct ControllerStats {
   double donor_respec_seconds = 0.0;
   double cold_start_seconds = 0.0;
   std::uint64_t restores = 0;     // cold misses served from checkpoints
-  std::uint64_t checkpoints = 0;  // dumps taken before retirement
+  std::uint64_t checkpoints = 0;  // retire/evict victims demoted to disk
   std::uint64_t prewarm_launches = 0;
   std::uint64_t retired = 0;      // containers stopped by the controller
   std::uint64_t evicted = 0;      // stopped under capacity/memory pressure
@@ -200,12 +196,6 @@ class HotCController {
     return store_.get();
   }
 
-  /// Demand/pool-size history for one key (drives Fig. 10-style plots).
-  [[nodiscard]] const TimeSeries* demand_history(
-      const spec::RuntimeKey& key) const;
-  [[nodiscard]] const TimeSeries* forecast_history(
-      const spec::RuntimeKey& key) const;
-
   /// Current prediction for a key (ceil'd target pool size).
   [[nodiscard]] std::optional<double> current_forecast(
       const spec::RuntimeKey& key) const;
@@ -224,8 +214,6 @@ class HotCController {
     /// (empty unless sharing is on).
     spec::CompatClass compat;
     predict::PredictorPtr predictor;
-    TimeSeries demand;     // observed per-interval peak concurrency
-    TimeSeries forecast;   // what the predictor said for each interval
     std::size_t busy_now = 0;       // currently executing containers
     std::size_t interval_peak = 0;  // max busy within the current interval
     std::uint64_t interval_requests = 0;
@@ -277,15 +265,15 @@ class HotCController {
               bool was_restored = false, bool was_respecialized = false);
 
   /// The cold tail of the miss path: enforce pressure, then restore from
-  /// the snapshot tier when possible, else launch (or clone-restore from a
-  /// legacy checkpoint).  Counts one true cold start.
+  /// the snapshot tier when possible, else launch.  Counts one true cold
+  /// start.
   void provision_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                       const spec::RuntimeKey& key, TimePoint arrival,
                       std::uint64_t trace_id, Callback cb);
 
-  /// The launch-or-legacy-restore tail of provision_cold (also the
-  /// fallback when a snapshot-tier restore loses its container).  The
-  /// caller has already counted the cold start.
+  /// The full launch of provision_cold (also the fallback when a
+  /// snapshot-tier restore loses its container).  The caller has already
+  /// counted the cold start.
   void launch_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                    const spec::RuntimeKey& key, TimePoint arrival,
                    std::uint64_t trace_id, Callback cb);
@@ -344,10 +332,6 @@ class HotCController {
   /// iteration order, so adaptive ticks visit keys in the same sequence
   /// the RuntimeKey-keyed map produced.
   std::map<spec::KeyId, KeyState, spec::InternTextLess> keys_;
-  /// One checkpoint image per runtime key (newest wins).
-  std::map<spec::KeyId, engine::ContainerEngine::CheckpointId,
-           spec::InternTextLess>
-      checkpoints_;
   std::function<void(const spec::RuntimeKey&)> pool_listener_;
   /// Cross-key sharing collaborators; both null unless enable_sharing.
   std::unique_ptr<share::DonorRegistry> donors_;

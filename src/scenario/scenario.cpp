@@ -1,6 +1,9 @@
 #include "scenario/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <string_view>
 
 #include "predict/hybrid.hpp"
 #include "predict/meta.hpp"
@@ -153,7 +156,25 @@ namespace {
                                          "unknown mix kind: " + kind);
 }
 
+/// Every key the "hotc" object may carry; anything else is refused, so a
+/// misspelt or retired knob cannot be silently ignored.
+constexpr std::string_view kHotcKeys[] = {
+    "max_live", "memory_threshold", "prewarm", "retire", "subset_key",
+    "sharing", "share_max_cost_ratio", "adaptive_interval_seconds",
+    "pause_idle_minutes", "tiering", "tiering_alpha", "snapshot_capacity_mb",
+    "snapshot_per_tenant_mb", "alpha", "predictor"};
+
 [[nodiscard]] Result<bool> apply_hotc_options(const Json& h, ControllerOptions& opt) {
+  if (h.is_object()) {
+    for (const auto& [name, value] : h.as_object()) {
+      (void)value;
+      if (std::find(std::begin(kHotcKeys), std::end(kHotcKeys), name) ==
+          std::end(kHotcKeys)) {
+        return make_error<bool>("scenario.unknown_option",
+                                "unknown hotc option: " + name);
+      }
+    }
+  }
   if (h["max_live"].is_number()) {
     opt.limits.max_live =
         static_cast<std::size_t>(h["max_live"].as_number());

@@ -26,7 +26,7 @@
 //       "tiering": false, "tiering_alpha": 0.5,
 //       "snapshot_capacity_mb": 4096, "snapshot_per_tenant_mb": 0,
 //       "alpha": 0.8, "predictor": "hybrid" | "meta" | "seasonal" | "es"
-//     },
+//     },                                     // other "hotc" keys: error
 //     "workload": { "pattern": "...", ...pattern params },   // required
 //     "mix": {"kind": "qr" | "image-recognition" | "siblings",
 //             "variants": 10,            // qr

@@ -16,7 +16,7 @@ namespace hotc::snapshot {
 
 struct TieringOptions {
   /// Master switch; the controller's demote/restore branches are inert
-  /// when false (legacy `use_checkpoint_restore` is unaffected either way).
+  /// when false, and retired runtimes are destroyed outright.
   bool enabled = false;
   /// Economic gate: demote only when restore_estimate ≤ alpha × cold_estimate.
   double alpha = 0.5;

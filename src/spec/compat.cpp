@@ -47,7 +47,13 @@ CompatClass CompatClass::from_spec(const RunSpec& spec) {
 }
 
 bool compatible(const RunSpec& a, const RunSpec& b) {
-  return CompatClass::from_spec(a) == CompatClass::from_spec(b);
+  // The fields from_spec() writes into the class text, compared in place
+  // (the category is a function of the name): no text, hash or intern.
+  return a.image.name == b.image.name && a.network == b.network &&
+         a.uts == b.uts && a.ipc == b.ipc && a.pid == b.pid &&
+         a.read_only_rootfs == b.read_only_rootfs &&
+         a.privileged == b.privileged &&
+         a.volumes.size() == b.volumes.size();
 }
 
 CompatDelta compat_delta(const RunSpec& donor, const RunSpec& request) {

@@ -89,8 +89,9 @@ struct CompatDelta {
 };
 
 /// True when the two specs fall in the same compatibility class (an
-/// equivalence: reflexive, symmetric, transitive — it is string equality
-/// on the canonical class text).
+/// equivalence: reflexive, symmetric, transitive).  Compares the
+/// class-shaping fields directly, so it allocates and interns nothing;
+/// equal to `from_spec(a) == from_spec(b)`.
 [[nodiscard]] bool compatible(const RunSpec& a, const RunSpec& b);
 
 /// The re-specializable difference donor -> request.  Meaningful only for

@@ -149,7 +149,16 @@ TEST_F(CheckpointTierTest, DiscardCheckpointedReleasesEverything) {
   EXPECT_TRUE(done);
   EXPECT_EQ(engine_.find(id), nullptr);
   EXPECT_EQ(engine_.checkpointed_count(), 0u);
+  EXPECT_EQ(engine_.checkpointed_disk_used(), 0u);  // the dump is gone
   EXPECT_EQ(engine_.memory_used(), baseline);  // no leak either way
+
+  // A second discard of the same image finds nothing to drop.
+  bool gone = false;
+  engine_.discard_checkpointed(id, [&](Result<bool> r) {
+    gone = !r.ok();
+    EXPECT_EQ(r.error().code, "engine.unknown_container");
+  });
+  EXPECT_TRUE(gone);
 
   // Discarding anything not parked in the tier is an error, not a wipe.
   bool failed = false;

@@ -2,8 +2,8 @@
 // busy_count, checkpointed_count) are kept by the FSM seam instead of
 // scanning every container.  A seeded random walk over every operation
 // that moves a container — launch with injected failures, exec, clean,
-// pause/resume, checkpoint/restore, demote/restore/discard and
-// stop/remove — checks them against a scan after every event.
+// pause/resume, demote/restore/discard and stop/remove — checks them
+// against a scan after every event.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -102,7 +102,6 @@ TEST_P(StateCountWalk, CountsMatchAScanAfterEveryEvent) {
   engine.set_fault_model(faults);
 
   Rng rng(GetParam());
-  std::vector<ContainerEngine::CheckpointId> checkpoints;
   std::set<ContainerId> thawing;
   const auto pick = [&](const std::vector<ContainerId>& ids) {
     return ids[static_cast<std::size_t>(
@@ -115,7 +114,7 @@ TEST_P(StateCountWalk, CountsMatchAScanAfterEveryEvent) {
     const auto paused = in_state(engine, ContainerState::kPaused, thawing);
     const auto parked =
         in_state(engine, ContainerState::kCheckpointed, thawing);
-    switch (rng.uniform_int(0, 9)) {
+    switch (rng.uniform_int(0, 8)) {
       case 0:
       case 1:
         engine.launch(python_spec(), [&](Result<LaunchReport> r) {
@@ -142,22 +141,12 @@ TEST_P(StateCountWalk, CountsMatchAScanAfterEveryEvent) {
         }
         break;
       case 6:
-        if (!idle.empty() && rng.chance(0.5)) {
-          engine.checkpoint(
-              pick(idle), [&](Result<ContainerEngine::CheckpointId> r) {
-                if (r.ok()) checkpoints.push_back(r.value());
-              });
-        } else if (!checkpoints.empty()) {
-          engine.restore(checkpoints.back(), [](Result<LaunchReport>) {});
-        }
-        break;
-      case 7:
         if (!idle.empty()) {
           engine.demote(pick(idle),
                         [](Result<ContainerEngine::DemoteReport>) {});
         }
         break;
-      case 8:
+      case 7:
         if (!parked.empty()) {
           if (rng.chance(0.5)) {
             const ContainerId id = pick(parked);

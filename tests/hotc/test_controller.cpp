@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,6 +25,18 @@ spec::RunSpec node_spec() {
   s.image = spec::ImageRef{"node", "14"};
   s.network = spec::NetworkMode::kBridge;
   return s;
+}
+
+/// One key's per-tick decision records, oldest first (summaries skipped).
+std::vector<obs::DecisionRecord> key_records(
+    const obs::DecisionJournal& journal, const spec::RuntimeKey& key) {
+  std::vector<obs::DecisionRecord> out;
+  for (const obs::DecisionRecord& rec : journal.snapshot()) {
+    if ((rec.flags & obs::kJournalSummary) == 0 && rec.key_id == key.id()) {
+      out.push_back(rec);
+    }
+  }
+  return out;
 }
 
 class ControllerTest : public ::testing::Test {
@@ -154,16 +167,18 @@ TEST_F(ControllerTest, CapacityLimitEvictsOldest) {
 }
 
 TEST_F(ControllerTest, AdaptiveTickObservesDemand) {
-  auto ctl = make();
+  obs::DecisionJournal journal;
+  ControllerOptions opt;
+  opt.journal = &journal;
+  auto ctl = make(std::move(opt));
   const auto app = engine::apps::qr_encoder();
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), app, [](Result<RequestOutcome>) {});
   sim_.run();
   ctl.adaptive_tick();
-  const TimeSeries* demand = ctl.demand_history(key);
-  ASSERT_NE(demand, nullptr);
-  ASSERT_EQ(demand->size(), 1u);
-  EXPECT_DOUBLE_EQ((*demand)[0].value, 1.0);  // peak concurrency was 1
+  const auto records = key_records(journal, key);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_DOUBLE_EQ(records[0].demand, 1.0);  // peak concurrency was 1
   EXPECT_TRUE(ctl.current_forecast(key).has_value());
 }
 
@@ -239,17 +254,17 @@ TEST_F(ControllerTest, IdleCapRetiresStaleContainers) {
 }
 
 TEST_F(ControllerTest, AdaptiveLoopRunsOnSchedule) {
+  obs::DecisionJournal journal;
   ControllerOptions opt;
   opt.adaptive_interval = seconds(10);
+  opt.journal = &journal;
   auto ctl = make(std::move(opt));
   const auto app = engine::apps::qr_encoder();
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), app, [](Result<RequestOutcome>) {});
   ctl.start_adaptive_loop(seconds(60));
   sim_.run();
-  const TimeSeries* demand = ctl.demand_history(key);
-  ASSERT_NE(demand, nullptr);
-  EXPECT_GE(demand->size(), 5u);
+  EXPECT_GE(key_records(journal, key).size(), 5u);
 }
 
 TEST_F(ControllerTest, LaunchFailureSurfacesAsError) {
@@ -267,16 +282,26 @@ TEST_F(ControllerTest, LaunchFailureSurfacesAsError) {
 }
 
 TEST_F(ControllerTest, ForecastHistoryParallelsDemand) {
-  auto ctl = make();
+  obs::DecisionJournal journal;
+  ControllerOptions opt;
+  opt.journal = &journal;
+  auto ctl = make(std::move(opt));
   const auto key = spec::RuntimeKey::from_spec(python_spec());
   ctl.handle(python_spec(), engine::apps::qr_encoder(),
              [](Result<RequestOutcome>) {});
   sim_.run();
   ctl.adaptive_tick();
   ctl.adaptive_tick();
-  ASSERT_NE(ctl.forecast_history(key), nullptr);
-  EXPECT_EQ(ctl.forecast_history(key)->size(),
-            ctl.demand_history(key)->size());
+  // One record per tick carries both the demand observed and the
+  // forecast made from it; the newest forecast is the live one.
+  const auto records = key_records(journal, key);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].tick, 1u);
+  EXPECT_EQ(records[1].tick, 2u);
+  EXPECT_DOUBLE_EQ(records[0].demand, 1.0);
+  EXPECT_DOUBLE_EQ(records[1].demand, 0.0);
+  EXPECT_DOUBLE_EQ(records[1].forecast,
+                   std::max(0.0, ctl.current_forecast(key).value()));
 }
 
 TEST_F(ControllerTest, PredictionErrorMetricsPopulateAfterScoredTick) {

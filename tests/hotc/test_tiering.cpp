@@ -109,6 +109,41 @@ TEST_F(TieringControllerTest, EconomicGateBlocksUnprofitableDemotions) {
   EXPECT_EQ(ctl.stats().retired, 1u);
 }
 
+TEST_F(TieringControllerTest, PausedRuntimeIsStoppedNotDemoted) {
+  // The engine demotes Idle containers only, so a frozen pooled runtime
+  // that the idle cap retires must be torn down, tier on or not.
+  ControllerOptions opt = tiering_options();
+  opt.enable_prewarm = false;
+  opt.enable_retire = false;  // only the idle cap retires
+  opt.pause_idle_after = minutes(1);
+  opt.idle_cap = minutes(5);
+  HotCController ctl(engine_, opt);
+
+  ctl.handle(python_spec(), engine::apps::qr_encoder(),
+             [](Result<RequestOutcome>) {});
+  sim_.run();
+  sim_.run_until(sim_.now() + minutes(2));
+  ctl.adaptive_tick();  // past pause_idle_after: freeze, not retire
+  sim_.run();
+  ASSERT_EQ(ctl.runtime_pool().paused_count(), 1u);
+  ASSERT_EQ(engine_.live_count(), 1u);
+
+  sim_.run_until(sim_.now() + minutes(5));
+  ctl.adaptive_tick();  // past the idle cap: retire the frozen runtime
+  sim_.run();
+
+  const snapshot::CheckpointStore* store = ctl.checkpoint_store();
+  ASSERT_NE(store, nullptr);
+  EXPECT_EQ(store->demotes(), 0u);
+  EXPECT_EQ(store->entries(), 0u);
+  EXPECT_EQ(ctl.stats().checkpoints, 0u);
+  EXPECT_EQ(ctl.stats().retired, 1u);
+  EXPECT_EQ(ctl.runtime_pool().flows().checkpointed, 0u);
+  EXPECT_EQ(ctl.runtime_pool().total_available(), 0u);
+  EXPECT_EQ(engine_.checkpointed_count(), 0u);
+  EXPECT_EQ(engine_.live_count(), 0u);
+}
+
 TEST_F(TieringControllerTest, DisabledByDefaultHasNoStore) {
   ControllerOptions opt;
   opt.predictor_factory = [] {

@@ -101,6 +101,12 @@ TEST(Scenario, ValidationErrors) {
                 .error()
                 .code,
             "scenario.bad_predictor");
+  const auto retired_knob = parse_scenario_text(
+      R"({"hotc": {"use_checkpoint_restore": true},
+          "workload": {"pattern": "serial"}})");
+  EXPECT_EQ(retired_knob.error().code, "scenario.unknown_option");
+  EXPECT_NE(retired_knob.error().message.find("use_checkpoint_restore"),
+            std::string::npos);
   EXPECT_EQ(parse_scenario_text(
                 R"({"workload": {"pattern": "tidal"}})")
                 .error()

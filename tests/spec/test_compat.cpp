@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "spec/corpus.hpp"
 #include "spec/dockerfile.hpp"
 
 namespace hotc::spec {
@@ -80,13 +81,45 @@ TEST(CompatLattice, TransitiveOverRandomSpecs) {
 }
 
 TEST(CompatLattice, ClassEqualityMatchesCompatible) {
-  Rng rng(13);
-  for (int i = 0; i < 64; ++i) {
-    const RunSpec a = random_spec(rng);
-    const RunSpec b = random_spec(rng);
-    EXPECT_EQ(compatible(a, b),
-              CompatClass::from_spec(a) == CompatClass::from_spec(b));
+  // compatible() compares the class-shaping fields in place; it must
+  // agree with equality of the interned class text on every pair.  The
+  // corpus brings realistic image names (many shared, Zipf-popular); a
+  // copy of each with a random sandbox shape and the random grid cover
+  // the remaining class fields.
+  CorpusOptions opt;
+  opt.files = 120;
+  std::vector<RunSpec> specs;
+  for (const CorpusEntry& entry : generate_corpus(opt)) {
+    auto parsed = Dockerfile::parse(entry.dockerfile_text);
+    if (parsed.ok()) specs.push_back(spec_from_dockerfile(parsed.value()));
   }
+  ASSERT_GT(specs.size(), 100u);
+  Rng rng(19);
+  const std::size_t corpus_size = specs.size();
+  for (std::size_t i = 0; i < corpus_size; ++i) {
+    RunSpec s = specs[i];
+    s.network = static_cast<NetworkMode>(rng.index(6));
+    s.ipc = static_cast<NamespaceMode>(rng.index(3));
+    s.pid = static_cast<NamespaceMode>(rng.index(3));
+    s.read_only_rootfs = rng.index(2) == 0;
+    specs.push_back(std::move(s));
+  }
+  Rng grid(13);
+  for (int i = 0; i < 128; ++i) specs.push_back(random_spec(grid));
+
+  std::vector<CompatClass> classes;
+  classes.reserve(specs.size());
+  for (const RunSpec& s : specs) classes.push_back(CompatClass::from_spec(s));
+  std::size_t compatible_pairs = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    for (std::size_t j = 0; j < specs.size(); ++j) {
+      const bool same_class = classes[i] == classes[j];
+      ASSERT_EQ(compatible(specs[i], specs[j]), same_class)
+          << classes[i].text() << " vs " << classes[j].text();
+      if (same_class && i != j) ++compatible_pairs;
+    }
+  }
+  EXPECT_GT(compatible_pairs, 0u);  // both outcomes were exercised
 }
 
 TEST(CompatLattice, SiblingsOfOneImageShareAClass) {

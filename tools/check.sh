@@ -46,8 +46,8 @@ HOTC_SMOKE=1 HOTC_BENCH_DIR="$SMOKE_DIR" \
   "$ROOT/build/bench/bench_tiering" >/dev/null
 HOTC_SMOKE=1 HOTC_BENCH_DIR="$SMOKE_DIR" \
   "$ROOT/build/bench/bench_blackbox" >/dev/null
-"$ROOT/build/examples/scenario_runner" \
-  "$ROOT/examples/scenarios/memory_pressure.json" >/dev/null
+python3 "$ROOT/tools/run_scenarios.py" "$ROOT/build/examples/scenario_runner" \
+  "$ROOT"/examples/scenarios/*.json
 HOTC_BENCH_DIR="$SMOKE_DIR" "$ROOT/build/tools/hotc_top" steady >/dev/null
 HOTC_BENCH_DIR="$SMOKE_DIR" "$ROOT/build/tools/hotc_prof" steady >/dev/null
 python3 -c "
