@@ -191,13 +191,7 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
                                     const spec::RuntimeKey& key,
                                     TimePoint arrival,
                                     std::uint64_t trace_id, Callback cb) {
-  ++stats_.cold_starts;
-  {
-    const auto it = keys_.find(key.id());
-    if (it != keys_.end() && it->second.cold_counter != nullptr) {
-      it->second.cold_counter->inc();
-    }
-  }
+  count_cold_start(key);
   enforce_pressure();  // make room before allocating a new runtime
 
   // Tiered warm state: a demoted runtime parked in the checkpoint store
@@ -243,6 +237,14 @@ void HotCController::provision_cold(const spec::RunSpec& spec,
   }
 
   launch_cold(spec, app, key, arrival, trace_id, std::move(cb));
+}
+
+void HotCController::count_cold_start(const spec::RuntimeKey& key) {
+  ++stats_.cold_starts;
+  const auto it = keys_.find(key.id());
+  if (it != keys_.end() && it->second.cold_counter != nullptr) {
+    it->second.cold_counter->inc();
+  }
 }
 
 void HotCController::launch_cold(const spec::RunSpec& spec,
@@ -368,33 +370,12 @@ void HotCController::run_on(const pool::PoolEntry& entry,
                   sim_.now() - resume_start, entry.key.hash(),
                   obs::kSpanError);
         // A runtime that cannot thaw is not trusted; replace it with a
-        // fresh cold start.
+        // fresh cold start.  The request was counted as a reuse when the
+        // pool handed the frozen runtime out; it is a cold start after all.
         engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        const TimePoint relaunch_start = sim_.now();
-        engine_.launch(spec, [this, spec, app, arrival, relaunch_start,
-                              trace_id, key = entry.key, cb = std::move(cb)](
-                                 Result<engine::LaunchReport> launched) {
-          if (!launched.ok()) {
-            emit_span(trace_id, obs::Stage::kColdStart, relaunch_start,
-                      sim_.now() - relaunch_start, key.hash(),
-                      obs::kSpanCold | obs::kSpanError);
-            auto it = keys_.find(key.id());
-            if (it != keys_.end() && it->second.busy_now > 0) {
-              --it->second.busy_now;
-            }
-            cb(Result<RequestOutcome>(launched.error()));
-            return;
-          }
-          emit_span(trace_id, obs::Stage::kColdStart, relaunch_start,
-                    launched.value().breakdown.total(), key.hash(),
-                    obs::kSpanCold);
-          pool::PoolEntry fresh;
-          fresh.id = launched.value().container;
-          fresh.key = key;
-          fresh.created_at = sim_.now();
-          run_on(fresh, spec, app, false,
-                 launched.value().breakdown.total(), arrival, trace_id, cb);
-        });
+        --stats_.reuses;
+        count_cold_start(entry.key);
+        launch_cold(spec, app, entry.key, arrival, trace_id, std::move(cb));
         return;
       }
       emit_span(trace_id, obs::Stage::kResume, resume_start,

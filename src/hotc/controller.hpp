@@ -271,8 +271,13 @@ class HotCController {
                       const spec::RuntimeKey& key, TimePoint arrival,
                       std::uint64_t trace_id, Callback cb);
 
+  /// One cold start paid: the stats counter and the per-key
+  /// hotc_key_cold_total.
+  void count_cold_start(const spec::RuntimeKey& key);
+
   /// The full launch of provision_cold (also the fallback when a
-  /// snapshot-tier restore loses its container).  The caller has already
+  /// snapshot-tier restore loses its container, and the replacement for
+  /// a pooled runtime that fails to resume).  The caller has already
   /// counted the cold start.
   void launch_cold(const spec::RunSpec& spec, const engine::AppModel& app,
                    const spec::RuntimeKey& key, TimePoint arrival,

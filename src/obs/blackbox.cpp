@@ -162,20 +162,11 @@ void BlackBox::attach_region(std::uint32_t kind, const char* name,
   presize();
 }
 
-void BlackBox::attach_flight_recorder(const FlightRecorder& recorder) {
-  const FlightRecorder::RawRing ring = recorder.raw_ring();
+void BlackBox::attach_ring(std::uint32_t kind, const char* name,
+                           const RawRing& ring) {
   const std::uint64_t params[4] = {ring.capacity, ring.shift, ring.words,
                                    ring.stride};
-  attach_region(kRegionFlightRing, "flight_ring", ring.data, ring.bytes,
-                params);
-}
-
-void BlackBox::attach_journal(const DecisionJournal& journal) {
-  const DecisionJournal::RawRing ring = journal.raw_ring();
-  const std::uint64_t params[4] = {ring.capacity, ring.shift, ring.words,
-                                   ring.stride};
-  attach_region(kRegionJournalRing, "journal_ring", ring.data, ring.bytes,
-                params);
+  attach_region(kind, name, ring.data, ring.bytes, params);
 }
 
 void BlackBox::attach_tsdb(const TimeSeriesStore& tsdb) {

@@ -34,77 +34,44 @@ TickDecision decide_tick(const TickInputs& in) {
   return d;
 }
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t c = 1;
-  while (c < v) c <<= 1;
-  return c;
+void DecisionCodec::pack(const DecisionRecord& rec, std::uint64_t /*ticket*/,
+                         std::uint64_t* w) {
+  w[0] = rec.tick;
+  w[1] = rec.key_hash;
+  w[2] = std::bit_cast<std::uint64_t>(rec.demand);
+  w[3] = std::bit_cast<std::uint64_t>(rec.smoothed);
+  w[4] = std::bit_cast<std::uint64_t>(rec.forecast);
+  w[5] = static_cast<std::uint64_t>(
+             static_cast<std::uint8_t>(rec.markov_region)) |
+         (static_cast<std::uint64_t>(rec.flags) << 8) |
+         (static_cast<std::uint64_t>(rec.have) << 16) |
+         (static_cast<std::uint64_t>(rec.available) << 32) |
+         (static_cast<std::uint64_t>(rec.headroom) << 48);
+  w[6] = static_cast<std::uint64_t>(rec.prewarms) |
+         (static_cast<std::uint64_t>(rec.retires) << 16) |
+         (static_cast<std::uint64_t>(rec.evictions) << 32) |
+         (static_cast<std::uint64_t>(rec.donations) << 48);
+  w[7] = rec.key_id;
 }
 
-}  // namespace
-
-DecisionJournal::DecisionJournal(std::size_t capacity, bool audit)
-    : slots_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-      audit_(audit) {
-  mask_ = slots_.size() - 1;
-  shift_ = 0;
-  while ((std::size_t{1} << shift_) < slots_.size()) ++shift_;
-}
-
-void DecisionJournal::pack(const DecisionRecord& rec, Slot& slot) {
-  slot.words[0].store(rec.tick, std::memory_order_release);
-  slot.words[1].store(rec.key_hash, std::memory_order_release);
-  slot.words[2].store(std::bit_cast<std::uint64_t>(rec.demand),
-                      std::memory_order_release);
-  slot.words[3].store(std::bit_cast<std::uint64_t>(rec.smoothed),
-                      std::memory_order_release);
-  slot.words[4].store(std::bit_cast<std::uint64_t>(rec.forecast),
-                      std::memory_order_release);
-  const std::uint64_t inputs =
-      (static_cast<std::uint64_t>(static_cast<std::uint8_t>(
-           rec.markov_region))) |
-      (static_cast<std::uint64_t>(rec.flags) << 8) |
-      (static_cast<std::uint64_t>(rec.have) << 16) |
-      (static_cast<std::uint64_t>(rec.available) << 32) |
-      (static_cast<std::uint64_t>(rec.headroom) << 48);
-  slot.words[5].store(inputs, std::memory_order_release);
-  const std::uint64_t outputs =
-      static_cast<std::uint64_t>(rec.prewarms) |
-      (static_cast<std::uint64_t>(rec.retires) << 16) |
-      (static_cast<std::uint64_t>(rec.evictions) << 32) |
-      (static_cast<std::uint64_t>(rec.donations) << 48);
-  slot.words[6].store(outputs, std::memory_order_release);
-  slot.words[7].store(static_cast<std::uint64_t>(rec.key_id),
-                      std::memory_order_release);
-}
-
-DecisionRecord DecisionJournal::unpack(const Slot& slot) {
+DecisionRecord DecisionCodec::unpack(const std::uint64_t* w) {
   DecisionRecord rec;
-  rec.tick = slot.words[0].load(std::memory_order_acquire);
-  rec.key_hash = slot.words[1].load(std::memory_order_acquire);
-  rec.demand = std::bit_cast<double>(
-      slot.words[2].load(std::memory_order_acquire));
-  rec.smoothed = std::bit_cast<double>(
-      slot.words[3].load(std::memory_order_acquire));
-  rec.forecast = std::bit_cast<double>(
-      slot.words[4].load(std::memory_order_acquire));
-  const std::uint64_t inputs =
-      slot.words[5].load(std::memory_order_acquire);
+  rec.tick = w[0];
+  rec.key_hash = w[1];
+  rec.demand = std::bit_cast<double>(w[2]);
+  rec.smoothed = std::bit_cast<double>(w[3]);
+  rec.forecast = std::bit_cast<double>(w[4]);
   rec.markov_region =
-      static_cast<std::int8_t>(static_cast<std::uint8_t>(inputs & 0xff));
-  rec.flags = static_cast<std::uint8_t>((inputs >> 8) & 0xff);
-  rec.have = static_cast<std::uint16_t>((inputs >> 16) & 0xffff);
-  rec.available = static_cast<std::uint16_t>((inputs >> 32) & 0xffff);
-  rec.headroom = static_cast<std::uint16_t>((inputs >> 48) & 0xffff);
-  const std::uint64_t outputs =
-      slot.words[6].load(std::memory_order_acquire);
-  rec.prewarms = static_cast<std::uint16_t>(outputs & 0xffff);
-  rec.retires = static_cast<std::uint16_t>((outputs >> 16) & 0xffff);
-  rec.evictions = static_cast<std::uint16_t>((outputs >> 32) & 0xffff);
-  rec.donations = static_cast<std::uint16_t>((outputs >> 48) & 0xffff);
-  rec.key_id = static_cast<std::uint32_t>(
-      slot.words[7].load(std::memory_order_acquire));
+      static_cast<std::int8_t>(static_cast<std::uint8_t>(w[5] & 0xff));
+  rec.flags = static_cast<std::uint8_t>((w[5] >> 8) & 0xff);
+  rec.have = static_cast<std::uint16_t>((w[5] >> 16) & 0xffff);
+  rec.available = static_cast<std::uint16_t>((w[5] >> 32) & 0xffff);
+  rec.headroom = static_cast<std::uint16_t>((w[5] >> 48) & 0xffff);
+  rec.prewarms = static_cast<std::uint16_t>(w[6] & 0xffff);
+  rec.retires = static_cast<std::uint16_t>((w[6] >> 16) & 0xffff);
+  rec.evictions = static_cast<std::uint16_t>((w[6] >> 32) & 0xffff);
+  rec.donations = static_cast<std::uint16_t>((w[6] >> 48) & 0xffff);
+  rec.key_id = static_cast<std::uint32_t>(w[7]);
   return rec;
 }
 
@@ -132,35 +99,7 @@ void DecisionJournal::append(const DecisionRecord& rec) {
                                            std::memory_order_relaxed)) {
   }
 
-  const std::uint64_t ticket =
-      head_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & mask_];
-  const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-  slot.seq.store(writing, std::memory_order_relaxed);
-  pack(rec, slot);
-  // Lap check, same as FlightRecorder::record: a writer that lost a full
-  // ring revolution abandons the slot (seq left odd) and counts a drop.
-  if (head_.load(std::memory_order_relaxed) - ticket >= slots_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  slot.seq.store(writing + 1, std::memory_order_release);
-}
-
-std::vector<DecisionRecord> DecisionJournal::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t count = std::min<std::uint64_t>(head, slots_.size());
-  std::vector<DecisionRecord> out;
-  out.reserve(count);
-  for (std::uint64_t ticket = head - count; ticket < head; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    const std::uint64_t expect = 2 * (ticket >> shift_) + 2;
-    if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-    DecisionRecord rec = unpack(slot);
-    if (slot.seq.load(std::memory_order_acquire) != expect) continue;
-    out.push_back(rec);
-  }
-  return out;
+  publish(rec);
 }
 
 std::vector<DecisionRecord> DecisionJournal::tail(std::size_t n) const {

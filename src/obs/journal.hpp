@@ -4,10 +4,8 @@
 // key per adaptive tick (plus one per-tick summary record), holding every
 // input the Algorithm 3 decision saw — demand, smoothed trend, Markov
 // region, forecast, warm stock, capacity headroom — and every output it
-// produced.  The ring uses the same ticket/seqlock discipline as the
-// FlightRecorder (obs/trace.hpp): one fetch_add assigns (slot, cycle),
-// payload words are release-stored and acquire-validated, a lapped writer
-// abandons its slot and counts a drop instead of blocking.
+// produced.  The ring is a core/seq_ring.hpp SeqRing over DecisionCodec,
+// the same lock-free ring as the span FlightRecorder (obs/trace.hpp).
 //
 // Because the journal records *all* inputs, the decision itself is a pure
 // function — decide_tick() below — shared by the live controller and the
@@ -38,6 +36,7 @@
 #include <vector>
 
 #include "core/ranked_mutex.hpp"
+#include "core/seq_ring.hpp"
 #include "predict/predictor.hpp"
 
 namespace hotc::obs {
@@ -97,37 +96,46 @@ struct TickDecision {
 /// this — single source of truth, so replay equality is meaningful.
 [[nodiscard]] TickDecision decide_tick(const TickInputs& in);
 
-/// Bounded MPMC decision ring; capacity rounds up to a power of two.
-/// Same publication protocol as FlightRecorder (see obs/trace.hpp).
-class DecisionJournal {
+/// DecisionRecord <-> eight ring words: tick, key hash, the three
+/// doubles bit for bit, packed inputs, packed outputs, key id.
+struct DecisionCodec {
+  using Record = DecisionRecord;
+  static constexpr std::size_t kWords = 8;
+
+  static void pack(const DecisionRecord& rec, std::uint64_t ticket,
+                   std::uint64_t* w);
+  static DecisionRecord unpack(const std::uint64_t* w);
+};
+
+using DecisionRing = SeqRing<DecisionCodec>;
+static_assert(DecisionCodec::kWords == 8 && DecisionRing::kStride == 128,
+              "decision slots are 128 bytes in the crash-dump format");
+
+/// The decision ring plus its tick audit; capacity rounds up to a power
+/// of two.
+class DecisionJournal : private DecisionRing {
  public:
   /// `audit` controls the out-of-band-tick check: abort when true, drop +
   /// count when false.  Defaults to the build's lock-audit flavour so
   /// HOTC_AUDIT=ON (and debug) builds fail fast.
   explicit DecisionJournal(std::size_t capacity = 1024,
-                           bool audit = kLockAuditEnabled);
-
-  DecisionJournal(const DecisionJournal&) = delete;
-  DecisionJournal& operator=(const DecisionJournal&) = delete;
+                           bool audit = kLockAuditEnabled)
+      : DecisionRing(capacity), audit_(audit) {}
 
   /// Publish one record.  Ticks must be positive and non-decreasing
   /// across calls; a violation aborts under audit, else the record is
   /// dropped and counted (see rejected()).
   void append(const DecisionRecord& rec);
 
-  /// Copy out every currently-readable record, oldest first.
-  [[nodiscard]] std::vector<DecisionRecord> snapshot() const;
+  using DecisionRing::capacity;
+  using DecisionRing::dropped;
+  using DecisionRing::raw_ring;
+  using DecisionRing::recorded;
+  using DecisionRing::snapshot;
 
   /// The newest `n` readable records, oldest first.
   [[nodiscard]] std::vector<DecisionRecord> tail(std::size_t n) const;
 
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
   /// Records refused by the tick-monotonicity audit (release builds).
   [[nodiscard]] std::uint64_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
@@ -136,40 +144,8 @@ class DecisionJournal {
     return last_tick_.load(std::memory_order_relaxed);
   }
 
-  /// Raw slot array for the black-box crash dumper — same contract as
-  /// FlightRecorder::raw_ring() (obs/trace.hpp): stable contiguous
-  /// memory, per-slot seq word + payload words, decodable offline with
-  /// torn slots skipped by sequence validation.
-  struct RawRing {
-    const void* data = nullptr;
-    std::size_t bytes = 0;
-    std::uint64_t capacity = 0;
-    std::uint64_t shift = 0;
-    std::uint64_t words = 0;
-    std::uint64_t stride = 0;
-  };
-  [[nodiscard]] RawRing raw_ring() const {
-    return {slots_.data(), slots_.size() * sizeof(Slot), slots_.size(),
-            shift_, 8, sizeof(Slot)};
-  }
-
  private:
-  // seq protocol per slot: 0 never written; 2c+1 write in progress for
-  // cycle c; 2c+2 readable (cycle = ticket >> shift_).
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[8]{};
-  };
-
-  static void pack(const DecisionRecord& rec, Slot& slot);
-  static DecisionRecord unpack(const Slot& slot);
-
-  std::vector<Slot> slots_;
-  std::uint64_t mask_ = 0;
-  unsigned shift_ = 0;
   bool audit_ = false;
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> last_tick_{0};
 };

@@ -11,15 +11,9 @@
 //   * per-stage LogHistograms in the metrics Registry (when one is
 //     attached), so Prometheus scrapes see stage latency distributions.
 //
-// The ring is multi-writer safe without locks — and without any per-slot
-// RMW: one fetch_add on the head ticket uniquely assigns (slot, cycle),
-// so the writer owns the slot outright unless the ring issues a full
-// revolution of newer tickets while it is stalled.  Cheap relaxed loads
-// of head before and after the payload detect that lap; a lapped writer
-// abandons the slot (sequence left odd, unreadable) and counts a drop
-// instead of blocking.  Payload words are release-stored / acquire-read
-// atomics, so concurrent snapshot() readers are race-free (TSan clean)
-// and discard any slot whose sequence changed under them.
+// The ring is a core/seq_ring.hpp SeqRing over SpanCodec: multi-writer,
+// lock-free, a lapped writer drops its span instead of blocking, and
+// concurrent snapshot() readers never see a torn span.
 //
 // Timestamps are hotc::TimePoint — virtual time under the simulator,
 // wall-clock offsets in real drivers; callers supply them, the recorder
@@ -28,9 +22,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
+#include "core/seq_ring.hpp"
 #include "core/time.hpp"
 #include "obs/metrics.hpp"
 
@@ -76,7 +69,7 @@ struct SpanRecord {
   std::int64_t start_ns = 0;    // TimePoint offset
   std::int64_t dur_ns = 0;
   /// Global publication ordinal (the ring ticket, truncated): orders
-  /// spans within and across traces.  Stamped by FlightRecorder::record,
+  /// spans within and across traces.  Stamped by SpanCodec::pack,
   /// callers never set it.
   std::uint32_t span_seq = 0;
   std::uint16_t shard = kNoShard;
@@ -84,120 +77,31 @@ struct SpanRecord {
   std::uint8_t flags = 0;
 };
 
-/// Bounded MPMC span ring; capacity is rounded up to a power of two.
-class FlightRecorder {
- public:
-  explicit FlightRecorder(std::size_t capacity = 4096);
+/// SpanRecord <-> five ring words.  The fifth word packs span_seq (the
+/// publication ticket), shard, stage and flags.
+struct SpanCodec {
+  using Record = SpanRecord;
+  static constexpr std::size_t kWords = 5;
 
-  FlightRecorder(const FlightRecorder&) = delete;
-  FlightRecorder& operator=(const FlightRecorder&) = delete;
-
-  /// Publish one span (may drop under pathological lapping; see
-  /// dropped()).  `rec.span_seq` is overwritten with the publication
-  /// ticket.  Inline: this is the per-span hot path, bounded by one
-  /// fetch_add plus seven plain stores (Fig. 15 gates it at <= 5 % of a
-  /// pool acquire/release pair).
-  void record(SpanRecord rec) {
-    const std::uint64_t ticket =
-        head_.fetch_add(1, std::memory_order_relaxed);
-    rec.span_seq = static_cast<std::uint32_t>(ticket);
-    Slot& slot = slots_[ticket & mask_];
-    const std::uint64_t writing = 2 * (ticket >> shift_) + 1;
-    slot.seq.store(writing, std::memory_order_relaxed);
-    pack(rec, slot);
-    // Lap check, not a lock: the ticket owns this slot outright unless
-    // the ring issued a full revolution of newer tickets while this
-    // writer was stalled, in which case its words may be interleaved
-    // with the newer owner's.  One relaxed load of head (a line the
-    // fetch_add above just touched) detects that: abandon the slot with
-    // seq left odd — unreadable — and count the drop.  (The residual
-    // window — this load overtaking a full ring revolution that happens
-    // within the few nanoseconds of pack() — requires a writer stalled
-    // mid-store-sequence and is not observable on cache-coherent hosts;
-    // the cost if it ever hit would be one corrupt diagnostic span,
-    // never a data race: every slot access is atomic.)
-    if (head_.load(std::memory_order_relaxed) - ticket >= slots_.size()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    slot.seq.store(writing + 1, std::memory_order_release);
+  static void pack(const SpanRecord& rec, std::uint64_t ticket,
+                   std::uint64_t* w) {
+    w[0] = rec.trace_id;
+    w[1] = rec.key_hash;
+    w[2] = static_cast<std::uint64_t>(rec.start_ns);
+    w[3] = static_cast<std::uint64_t>(rec.dur_ns);
+    w[4] = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ticket))
+            << 32) |
+           (static_cast<std::uint64_t>(rec.shard) << 16) |
+           (static_cast<std::uint64_t>(rec.stage) << 8) |
+           static_cast<std::uint64_t>(rec.flags);
   }
-
-  /// Copy out every currently-readable span, oldest first.  Concurrent
-  /// writers may overwrite slots mid-read; those slots are skipped, never
-  /// torn.
-  [[nodiscard]] std::vector<SpanRecord> snapshot() const;
-
-  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
-  /// Spans ever published (monotonic; ring position derives from it).
-  [[nodiscard]] std::uint64_t recorded() const {
-    return head_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// The raw slot array, for the black-box crash dumper (obs/blackbox.hpp):
-  /// a stable, contiguous memory image a signal handler may copy with
-  /// nothing but write(2).  Each slot is `stride` bytes — a u64 sequence
-  /// word followed by `words` u64 payload words (plus alignment padding);
-  /// the offline decoder (obs/postmortem.hpp) rebuilds publication order
-  /// from the per-slot sequence protocol alone, so no head pointer is
-  /// needed.  Concurrent writers may tear slots mid-dump exactly as they
-  /// may mid-snapshot(); torn slots fail sequence validation and are
-  /// skipped by the decoder, never misread.
-  struct RawRing {
-    const void* data = nullptr;
-    std::size_t bytes = 0;
-    std::uint64_t capacity = 0;
-    std::uint64_t shift = 0;  // log2(capacity)
-    std::uint64_t words = 0;  // payload words per slot
-    std::uint64_t stride = 0; // bytes per slot
-  };
-  [[nodiscard]] RawRing raw_ring() const {
-    return {slots_.data(), slots_.size() * sizeof(Slot), slots_.size(),
-            shift_, 5, sizeof(Slot)};
-  }
-
- private:
-  // seq protocol per slot: 0 = never written; 2c+1 = write in progress
-  // for cycle c; 2c+2 = readable, written at cycle c (cycle = ticket >>
-  // shift).  Payload words are release-stored and acquire-loaded: a
-  // reader that sees any word of an in-progress overwrite is forced to
-  // also see the writer's odd sequence on its validating re-read, so a
-  // torn slot never passes validation.
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> words[5]{};
-  };
-
-  // Release stores: each word orders the slot's odd ("writing") sequence
-  // store before itself, so a reader that acquire-loads any new-cycle
-  // word is guaranteed to observe the sequence change when it re-reads
-  // seq — a half-written slot can never validate.  On x86 a release
-  // store is a plain store; this costs nothing on the hot path.
-  static void pack(const SpanRecord& rec, Slot& slot) {
-    slot.words[0].store(rec.trace_id, std::memory_order_release);
-    slot.words[1].store(rec.key_hash, std::memory_order_release);
-    slot.words[2].store(static_cast<std::uint64_t>(rec.start_ns),
-                        std::memory_order_release);
-    slot.words[3].store(static_cast<std::uint64_t>(rec.dur_ns),
-                        std::memory_order_release);
-    const std::uint64_t meta =
-        (static_cast<std::uint64_t>(rec.span_seq) << 32) |
-        (static_cast<std::uint64_t>(rec.shard) << 16) |
-        (static_cast<std::uint64_t>(rec.stage) << 8) |
-        static_cast<std::uint64_t>(rec.flags);
-    slot.words[4].store(meta, std::memory_order_release);
-  }
-  static SpanRecord unpack(const Slot& slot);
-
-  std::vector<Slot> slots_;
-  std::uint64_t mask_ = 0;
-  unsigned shift_ = 0;  // log2(capacity): cycle = ticket >> shift_
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  static SpanRecord unpack(const std::uint64_t* w);
 };
+
+/// Bounded MPMC span ring; capacity is rounded up to a power of two.
+using FlightRecorder = SeqRing<SpanCodec>;
+static_assert(SpanCodec::kWords == 5 && FlightRecorder::kStride == 64,
+              "span slots are 64 bytes in the crash-dump format");
 
 /// Facade the instrumented layers talk to: one ring + optional per-stage
 /// histograms + a global enable switch (one relaxed load when disabled).
@@ -239,7 +143,7 @@ class Tracer {
     rec.shard = shard;
     rec.stage = stage;
     rec.flags = flags;
-    ring_.record(rec);
+    ring_.publish(rec);
     // Zero-duration spans are instant markers (pool lookup, readmit...):
     // they have no latency to distribute, and feeding 0 would only skew
     // the stage histogram toward its underflow bucket.

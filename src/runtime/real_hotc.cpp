@@ -25,7 +25,7 @@ RealHotC::RealHotC(RealOptions options)
     : options_(options),
       cost_(options.host),
       pool_(options.worker_threads),
-      warm_(warm_limits(options), options.pool_shards),
+      warm_(warm_limits(options)),
       snapshots_(options.tiering.store),
       costs_mu_(LockRank::kSnapshotStore, 0x10000, "runtime.tiercosts") {}
 
@@ -127,10 +127,6 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
     // Algorithm 1, wall-clock edition: claim a warm runtime from the
     // striped pool (one shard lock), pay delays outside any lock.
     const std::uint64_t app_tag = spec::fnv1a(app.name);
-    const spec::CompatClass cls = options_.enable_sharing
-                                      ? spec::CompatClass::from_spec(spec)
-                                      : spec::CompatClass();
-    if (options_.enable_sharing) donors_.record(key, cls, spec);
     std::optional<pool::PoolEntry> warm;
     {
       const obs::StageScope stage(obs::Stage::kPoolLookup);
@@ -146,46 +142,13 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
     // pool entry is in scope — capture them here, where the spec is.
     if (options_.tiering.enabled) record_costs(key, spec, image, cold.total());
 
-    // Miss: before paying the cold start, try converting an idle
-    // compatible sibling (donor registry + lease-for-donation seam).
-    bool respecialized = false;
-    Duration respec_cost = kZeroDuration;
-    if (!reused && options_.enable_sharing) {
-      const obs::StageScope stage(obs::Stage::kDonorLookup);
-      ++donor_lookups_;
-      const auto cand = donors_.find_donor(cls, key, warm_);
-      if (cand.has_value()) {
-        // Wall-clock conversion = volume wipe/remount + env/exec delta
-        // (image layers never differ inside a compatibility class' tag
-        // delta here — the cost model charges them via reconfigure).
-        const Duration respec = cost_.cleanup_time(/*dirty_bytes=*/0) +
-                                cost_.reconfigure_time(cand->spec, spec);
-        const bool viable =
-            cold.total() > kZeroDuration &&
-            static_cast<double>(respec.count()) <=
-                options_.share_max_cost_ratio *
-                    static_cast<double>(cold.total().count());
-        if (viable) {
-          auto donor = warm_.acquire_for_donation(cand->key, wall_now());
-          if (donor.has_value()) {
-            respecialized = true;
-            respec_cost = respec;
-            warm = donor;
-            warm->key = key;            // re-keyed to the requested config
-            warm->respecialized = true;  // counted once at return
-            warm->app_tag = 0;           // donor's app state is gone
-          }
-        }
-      }
-    }
-
-    // Still a miss: revive a checkpointed runtime of this exact key from
-    // the snapshot tier (consuming take), paying the restore cost — well
-    // under the cold start whenever the demotion gate admitted it.
+    // Miss: revive a checkpointed runtime of this exact key from the
+    // snapshot tier (consuming take), paying the restore cost — well under
+    // the cold start whenever the demotion gate admitted it.
     bool restored = false;
     Duration restore_cost = kZeroDuration;
     std::optional<snapshot::SnapshotMeta> snap;
-    if (!reused && !respecialized && options_.tiering.enabled) {
+    if (!reused && options_.tiering.enabled) {
       snap = snapshots_.take(key.id(), wall_now());
       if (snap.has_value()) {
         restored = true;
@@ -195,10 +158,6 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
 
     if (reused) {
       ++reuses_;
-    } else if (respecialized) {
-      ++donor_hits_;
-      const obs::StageScope stage(obs::Stage::kRespecialize);
-      std::this_thread::sleep_for(scale(respec_cost, options_.cold_start_scale));
     } else if (restored) {
       const obs::StageScope stage(obs::Stage::kRestore);
       std::this_thread::sleep_for(
@@ -216,7 +175,6 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
 
     RealOutcome outcome;
     outcome.reused = reused;
-    outcome.respecialized = respecialized;
     outcome.restored = restored;
     outcome.app_was_warm = app_warm;
     outcome.modeled_cold = cold.total();
@@ -231,7 +189,7 @@ std::future<RealOutcome> RealHotC::submit(const spec::RunSpec& spec,
     if (options_.max_warm > 0) {
       const obs::StageScope stage(obs::Stage::kReadmit);
       pool::PoolEntry entry;
-      if (reused || respecialized) {
+      if (reused) {
         entry = *warm;  // keeps created_at and reuse_count
       } else if (restored) {
         entry.id = snap->container;  // the checkpointed runtime lives on

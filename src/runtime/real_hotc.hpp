@@ -30,7 +30,6 @@
 #include "engine/cost_model.hpp"
 #include "pool/sharded_pool.hpp"
 #include "runtime/thread_pool.hpp"
-#include "share/donor_registry.hpp"
 #include "snapshot/checkpoint_store.hpp"
 #include "snapshot/tiering.hpp"
 #include "spec/runspec.hpp"
@@ -46,27 +45,16 @@ struct RealOptions {
   double cold_start_scale = 0.01;
   /// Maximum warm runtimes kept alive across all keys (0 = never pool).
   std::size_t max_warm = 64;
-  /// Lock stripes for the warm set; 0 = hardware_concurrency().
-  std::size_t pool_shards = 0;
-  /// Cross-key sharing: on a miss, convert an idle compatible sibling
-  /// (same image / isolation shape, different env) instead of paying the
-  /// full cold start.  Off by default — exact-match semantics unchanged.
-  bool enable_sharing = false;
-  /// A donor is viable when modelled conversion cost <= ratio * cold cost.
-  double share_max_cost_ratio = 0.8;
   /// Tiered warm state (DESIGN.md §16): trim victims that pass the
   /// economic gate are demoted into a modelled checkpoint store instead of
   /// being discarded outright, and the miss path tries a restore —
-  /// pool-hit -> donor -> checkpoint-restore -> cold — before paying the
-  /// full cold start.  Off by default — eviction semantics unchanged.
+  /// pool-hit -> checkpoint-restore -> cold — before paying the full cold
+  /// start.  Off by default — eviction semantics unchanged.
   snapshot::TieringOptions tiering;
 };
 
 struct RealOutcome {
   bool reused = false;
-  /// Served by converting a compatible sibling runtime (not an exact
-  /// reuse, not a cold start — the conversion cost was paid instead).
-  bool respecialized = false;
   /// Revived from the snapshot tier: a restore was paid (≪ cold) instead
   /// of a full cold start.
   bool restored = false;
@@ -97,8 +85,6 @@ class RealHotC {
 
   [[nodiscard]] std::uint64_t cold_starts() const { return cold_starts_; }
   [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
-  [[nodiscard]] std::uint64_t donor_lookups() const { return donor_lookups_; }
-  [[nodiscard]] std::uint64_t donor_hits() const { return donor_hits_; }
   /// Snapshot-tier traffic (zero when tiering is disabled).
   [[nodiscard]] std::uint64_t demotes() const { return snapshots_.demotes(); }
   [[nodiscard]] std::uint64_t restores() const {
@@ -149,9 +135,6 @@ class RealHotC {
   engine::CostModel cost_;
   ThreadPool pool_;
   pool::ShardedRuntimePool warm_;
-  /// Compatibility index over keys this instance has seen.  Writes to the
-  /// warm set itself still go through the pool's lease/return seam only.
-  share::DonorRegistry donors_;
   /// The disk-resident middle tier (always constructed; empty and idle
   /// unless options_.tiering.enabled routes traffic through it).
   snapshot::CheckpointStore snapshots_;
@@ -164,8 +147,6 @@ class RealHotC {
   std::atomic<engine::ContainerId> next_runtime_id_{1};
   std::atomic<std::uint64_t> cold_starts_{0};
   std::atomic<std::uint64_t> reuses_{0};
-  std::atomic<std::uint64_t> donor_lookups_{0};
-  std::atomic<std::uint64_t> donor_hits_{0};
 };
 
 }  // namespace hotc::runtime

@@ -13,6 +13,44 @@
 namespace hotc::scenario {
 namespace {
 
+/// Refuse any key of object `j` outside `allowed`, so a misspelt or
+/// retired knob fails loudly instead of silently running the defaults.
+/// `where` names the object in the error ("hotc", "workload"...).
+template <std::size_t N>
+[[nodiscard]] Result<bool> check_keys(const Json& j, const char* where,
+                                      const std::string_view (&allowed)[N]) {
+  if (!j.is_object()) return true;
+  for (const auto& [name, value] : j.as_object()) {
+    (void)value;
+    if (std::find(std::begin(allowed), std::end(allowed), name) ==
+        std::end(allowed)) {
+      return make_error<bool>("scenario.unknown_option",
+                              std::string("unknown ") + where +
+                                  " option: " + name);
+    }
+  }
+  return true;
+}
+
+constexpr std::string_view kTopKeys[] = {
+    "name", "host", "host_memory_mb", "seed", "mix", "workload", "policy",
+    "policies", "keep_alive_minutes", "hotc"};
+constexpr std::string_view kWorkloadKeys[] = {
+    "pattern", "period_seconds", "rounds", "count", "threads", "start",
+    "step", "burst_rounds", "base", "factor", "rate_per_second",
+    "duration_seconds", "zipf", "scale_down", "start_minute", "minutes"};
+constexpr std::string_view kMixKeys[] = {"kind", "variants", "functions",
+                                         "images"};
+constexpr std::string_view kFunctionKeys[] = {"run", "app"};
+constexpr std::string_view kAppKeys[] = {
+    "name", "init_seconds", "exec_seconds", "memory_mb", "download_mb",
+    "volume_write_mb"};
+constexpr std::string_view kHotcKeys[] = {
+    "max_live", "memory_threshold", "prewarm", "retire", "subset_key",
+    "sharing", "share_max_cost_ratio", "adaptive_interval_seconds",
+    "pause_idle_minutes", "tiering", "tiering_alpha", "snapshot_capacity_mb",
+    "snapshot_per_tenant_mb", "alpha", "predictor"};
+
 [[nodiscard]] Result<engine::HostProfile> host_from(const Json& j) {
   const std::string name = j.string_or("server");
   if (name == "server") return engine::HostProfile::server();
@@ -132,6 +170,10 @@ namespace {
     }
     std::vector<workload::ConfigEntry> entries;
     for (const auto& f : m["functions"].as_array()) {
+      for (auto known : {check_keys(f, "function", kFunctionKeys),
+                         check_keys(f["app"], "app", kAppKeys)}) {
+        if (!known.ok()) return Result<workload::ConfigMix>(known.error());
+      }
       auto parsed = spec::parse_run_command(f["run"].string_or(""));
       if (!parsed.ok()) {
         return make_error<workload::ConfigMix>(
@@ -156,24 +198,9 @@ namespace {
                                          "unknown mix kind: " + kind);
 }
 
-/// Every key the "hotc" object may carry; anything else is refused, so a
-/// misspelt or retired knob cannot be silently ignored.
-constexpr std::string_view kHotcKeys[] = {
-    "max_live", "memory_threshold", "prewarm", "retire", "subset_key",
-    "sharing", "share_max_cost_ratio", "adaptive_interval_seconds",
-    "pause_idle_minutes", "tiering", "tiering_alpha", "snapshot_capacity_mb",
-    "snapshot_per_tenant_mb", "alpha", "predictor"};
-
 [[nodiscard]] Result<bool> apply_hotc_options(const Json& h, ControllerOptions& opt) {
-  if (h.is_object()) {
-    for (const auto& [name, value] : h.as_object()) {
-      (void)value;
-      if (std::find(std::begin(kHotcKeys), std::end(kHotcKeys), name) ==
-          std::end(kHotcKeys)) {
-        return make_error<bool>("scenario.unknown_option",
-                                "unknown hotc option: " + name);
-      }
-    }
+  if (auto known = check_keys(h, "hotc", kHotcKeys); !known.ok()) {
+    return known;
   }
   if (h["max_live"].is_number()) {
     opt.limits.max_live =
@@ -240,6 +267,11 @@ constexpr std::string_view kHotcKeys[] = {
   if (!doc.is_object()) {
     return make_error<Scenario>("scenario.not_object",
                                 "scenario must be a JSON object");
+  }
+  for (auto known : {check_keys(doc, "scenario", kTopKeys),
+                     check_keys(doc["workload"], "workload", kWorkloadKeys),
+                     check_keys(doc["mix"], "mix", kMixKeys)}) {
+    if (!known.ok()) return Result<Scenario>(known.error());
   }
   auto host = host_from(doc["host"]);
   if (!host.ok()) return Result<Scenario>(host.error());

@@ -6,7 +6,8 @@
 // versioned and diffed.  examples/scenario_runner is a thin main() over
 // this module.
 //
-// Schema by example (all fields optional unless noted):
+// Schema by example (all fields optional unless noted; a key outside the
+// schema, at any level, is refused with scenario.unknown_option):
 //
 //   {
 //     "name": "my experiment",
@@ -26,7 +27,7 @@
 //       "tiering": false, "tiering_alpha": 0.5,
 //       "snapshot_capacity_mb": 4096, "snapshot_per_tenant_mb": 0,
 //       "alpha": 0.8, "predictor": "hybrid" | "meta" | "seasonal" | "es"
-//     },                                     // other "hotc" keys: error
+//     },
 //     "workload": { "pattern": "...", ...pattern params },   // required
 //     "mix": {"kind": "qr" | "image-recognition" | "siblings",
 //             "variants": 10,            // qr

@@ -5,6 +5,7 @@
 
 #include "engine/app.hpp"
 #include "hotc/controller.hpp"
+#include "obs/metrics.hpp"
 
 namespace hotc {
 namespace {
@@ -73,6 +74,58 @@ TEST_F(ControllerPauseTest, PausedHitResumesAndRuns) {
   EXPECT_GT(warmish->total, seconds_f(0.06));
   EXPECT_LT(warmish->total, first->total);
   EXPECT_EQ(ctl.runtime_pool().paused_count(), 0u);
+}
+
+TEST_F(ControllerPauseTest, FailedResumeIsACountedColdStart) {
+  obs::Registry registry;
+  ControllerOptions opt;
+  opt.pause_idle_after = minutes(1);
+  opt.enable_prewarm = false;
+  opt.enable_retire = false;
+  opt.registry = &registry;
+  HotCController ctl(engine_, opt);
+  const auto app = engine::apps::qr_encoder();
+
+  std::optional<RequestOutcome> first;
+  ctl.handle(python_spec(), app,
+             [&](Result<RequestOutcome> r) { first = r.value(); });
+  sim_.run();
+  sim_.run_until(sim_.now() + minutes(2));
+  ctl.adaptive_tick();
+  sim_.run();
+  ASSERT_EQ(ctl.runtime_pool().paused_count(), 1u);
+
+  // Fault: thaw the pooled runtime behind the controller's back, so the
+  // controller's own resume of it fails (engine.not_paused).
+  ASSERT_TRUE(first.has_value());
+  engine_.resume(first->container, [](Result<bool>) {});
+  sim_.run();
+  const ControllerStats before = ctl.stats();
+
+  std::optional<RequestOutcome> second;
+  ctl.handle(python_spec(), app,
+             [&](Result<RequestOutcome> r) { second = r.value(); });
+  sim_.run();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_FALSE(second->reused);
+  EXPECT_FALSE(second->resumed);
+  EXPECT_GT(second->startup, kZeroDuration);
+  EXPECT_NE(second->container, first->container);
+
+  const ControllerStats& after = ctl.stats();
+  EXPECT_EQ(after.cold_starts, before.cold_starts + 1);
+  EXPECT_EQ(after.reuses, before.reuses);
+  EXPECT_EQ(after.cold_starts + after.reuses, after.requests);
+  EXPECT_DOUBLE_EQ(after.cold_start_seconds,
+                   before.cold_start_seconds + to_seconds(second->startup));
+  double cold_total = 0.0;
+  for (const auto& sample : registry.snapshot()) {
+    if (sample.name == "hotc_key_cold_total") cold_total += sample.value;
+  }
+  EXPECT_EQ(cold_total, 2.0);
+  // The failed runtime was torn down; its replacement is pooled.
+  EXPECT_EQ(ctl.runtime_pool().total_available(), 1u);
+  EXPECT_EQ(engine_.live_count(), 1u);
 }
 
 TEST_F(ControllerPauseTest, PauseLoweredMemoryWatermark) {

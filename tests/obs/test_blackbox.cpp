@@ -56,8 +56,8 @@ struct CrashHarness {
         tsdb(registry, TsdbOptions{}, &slo),
         path(temp_dump_path("main")),
         box(path) {
-    box.attach_flight_recorder(tracer);
-    box.attach_journal(journal);
+    box.attach_ring(kRegionFlightRing, "flight_ring", tracer.raw_ring());
+    box.attach_ring(kRegionJournalRing, "journal_ring", journal.raw_ring());
     box.attach_tsdb(tsdb);
   }
 
@@ -70,7 +70,7 @@ struct CrashHarness {
       span.key_hash = 0xabcd;
       span.start_ns = static_cast<std::int64_t>(t) * 1000;
       span.dur_ns = 500;
-      tracer.record(span);
+      tracer.publish(span);
 
       DecisionRecord rec;
       rec.tick = t;
@@ -201,6 +201,37 @@ TEST(BlackBox, RejectsMissingFile) {
   EXPECT_FALSE(decode_dump(::testing::TempDir() + "hotc_bb_nonexistent.dump",
                            &image, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(BlackBox, ImpossibleRingGeometryDecodesAsEmptyRing) {
+  // One readable-looking 64-byte span slot, described by geometry that
+  // does not fit it.  The first case is the overflow: 2^58 slots of 64
+  // bytes wrap capacity * stride to 0.
+  std::uint64_t slot[8] = {2, 1, 2, 3, 4, 5, 0, 0};
+  const std::uint64_t cases[][4] = {
+      {std::uint64_t{1} << 58, 0, 5, 64},  // capacity * stride overflows
+      {std::uint64_t{1} << 58, 58, 5, 64},
+      {2, 1, 5, 64},    // two slots in one slot's bytes
+      {1, 64, 5, 64},   // shift past the word size
+      {2, 0, 5, 64},    // capacity != 1 << shift
+      {1, 0, 8, 64},    // words of another codec
+      {1, 0, 5, 40},    // stride shorter than seq + payload
+  };
+  for (const auto& params : cases) {
+    const std::string path = temp_dump_path("geometry");
+    {
+      BlackBox box(path);
+      box.attach_region(kRegionFlightRing, "flight_ring", slot, sizeof(slot),
+                        params);
+      ASSERT_TRUE(box.dump_now(0, "test", "crafted ring"));
+    }
+    DumpImage image;
+    std::string error;
+    ASSERT_TRUE(decode_dump(path, &image, &error)) << error;
+    EXPECT_TRUE(image.spans.empty()) << "capacity " << params[0];
+    EXPECT_EQ(image.spans_torn, 0u);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(BlackBox, BadPathDegradesToNoop) {

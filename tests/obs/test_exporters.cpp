@@ -21,13 +21,13 @@ std::vector<SpanRecord> sample_spans() {
   a.shard = 3;
   a.stage = Stage::kColdStart;
   a.flags = kSpanCold;
-  ring.record(a);
+  ring.publish(a);
   SpanRecord b;
   b.trace_id = 7;
   b.start_ns = 1'250'000;
   b.dur_ns = 0;
   b.stage = Stage::kReadmit;
-  ring.record(b);
+  ring.publish(b);
   return ring.snapshot();
 }
 

@@ -91,46 +91,7 @@ TEST(DecideTick, DisabledKnobsAreInert) {
 
 // --- ring protocol -----------------------------------------------------------
 
-TEST(DecisionJournal, PackUnpackRoundTripsEveryField) {
-  DecisionJournal j(8, /*audit=*/false);
-  DecisionRecord r;
-  r.tick = 42;
-  r.key_hash = 0xdeadbeefcafef00dull;
-  r.demand = 7.25;
-  r.smoothed = 6.875;
-  r.forecast = 0.1;  // not exactly representable: bit fidelity matters
-  r.markov_region = -1;
-  r.have = 65535;
-  r.available = 12345;
-  r.headroom = 1;
-  r.prewarms = 3;
-  r.retires = 65000;
-  r.evictions = 7;
-  r.donations = 2;
-  r.flags = kJournalDriftRestart | kJournalDonorNominated;
-  j.append(r);
-
-  const auto snap = j.snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  const auto& got = snap[0];
-  EXPECT_EQ(got.tick, r.tick);
-  EXPECT_EQ(got.key_hash, r.key_hash);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.demand),
-            std::bit_cast<std::uint64_t>(r.demand));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.smoothed),
-            std::bit_cast<std::uint64_t>(r.smoothed));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.forecast),
-            std::bit_cast<std::uint64_t>(r.forecast));
-  EXPECT_EQ(got.markov_region, r.markov_region);
-  EXPECT_EQ(got.have, r.have);
-  EXPECT_EQ(got.available, r.available);
-  EXPECT_EQ(got.headroom, r.headroom);
-  EXPECT_EQ(got.prewarms, r.prewarms);
-  EXPECT_EQ(got.retires, r.retires);
-  EXPECT_EQ(got.evictions, r.evictions);
-  EXPECT_EQ(got.donations, r.donations);
-  EXPECT_EQ(got.flags, r.flags);
-}
+// Field round trips and concurrent writers/readers: test_seq_ring.cpp.
 
 TEST(DecisionJournal, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(DecisionJournal(5, false).capacity(), 8u);

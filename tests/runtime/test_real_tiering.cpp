@@ -45,7 +45,6 @@ TEST(RealHotCTiering, TrimDemotesAndMissRestores) {
   EXPECT_EQ(out.payload, "qr:x");
   EXPECT_TRUE(out.restored);
   EXPECT_FALSE(out.reused);
-  EXPECT_FALSE(out.respecialized);
   EXPECT_EQ(hotc.restores(), 1u);
   // take() consumed A's snapshot; the only entry left is B's, demoted by
   // the trim that ran when the revived runtime re-entered the pool.

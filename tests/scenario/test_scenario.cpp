@@ -114,6 +114,40 @@ TEST(Scenario, ValidationErrors) {
             "scenario.bad_pattern");
 }
 
+TEST(Scenario, UnknownKeysRefusedAtEveryLevel) {
+  // Each document misspells one key of an otherwise valid scenario; the
+  // error names the key.
+  const struct {
+    const char* doc;
+    const char* key;
+  } cases[] = {
+      {R"({"polices": ["cold-always"], "workload": {"pattern": "serial"}})",
+       "polices"},
+      {R"({"workload": {"pattern": "serial", "period_secs": 5}})",
+       "period_secs"},
+      {R"({"workload": {"pattern": "serial"},
+           "mix": {"kind": "qr", "variantz": 3}})",
+       "variantz"},
+      {R"({"workload": {"pattern": "serial"},
+           "mix": {"kind": "custom",
+                   "functions": [{"run": "docker run python:3.8",
+                                  "ap": {}}]}})",
+       "ap"},
+      {R"({"workload": {"pattern": "serial"},
+           "mix": {"kind": "custom",
+                   "functions": [{"run": "docker run python:3.8",
+                                  "app": {"init_secs": 1}}]}})",
+       "init_secs"},
+  };
+  for (const auto& c : cases) {
+    const auto sc = parse_scenario_text(c.doc);
+    ASSERT_FALSE(sc.ok()) << c.key;
+    EXPECT_EQ(sc.error().code, "scenario.unknown_option");
+    EXPECT_NE(sc.error().message.find(c.key), std::string::npos)
+        << sc.error().message;
+  }
+}
+
 TEST(Scenario, RunProducesResultsPerPolicy) {
   auto sc = parse_scenario_text(R"({
     "name": "run test",

@@ -185,6 +185,7 @@ step "build + test: ASan/UBSan + HOTC_AUDIT"
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DHOTC_SANITIZE=address,undefined -DHOTC_AUDIT=ON >/dev/null
 cmake --build "$ROOT/build-asan" -j "$JOBS"
+ctest --test-dir "$ROOT/build-asan" -L fuzz --output-on-failure -j "$JOBS"
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS"
 
 step "build + test: TSan + HOTC_AUDIT"
