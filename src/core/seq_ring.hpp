@@ -19,9 +19,9 @@
 // this cycle means the ring lapped this record, which is dropped and
 // counted instead of blocking.  Only the claimant ever writes a slot's
 // words, so a writer stalled for a whole lap can never interleave its
-// words with a newer record's.  (A claim-free protocol, plain sequence
-// stores plus a re-check of head, cannot exclude that: the stalled
-// writer's stores land after the check.)  Release stores order each
+// words with a newer record's.  (Plain sequence stores plus a re-check
+// of head would save the CAS but cannot exclude that: a stalled writer's
+// stores can land after any check it makes.)  Release stores order each
 // payload word after the claim, so a reader that acquire-loads any word
 // of a newer write also sees the sequence change on its validating
 // re-read: a torn slot never validates.
