@@ -162,7 +162,6 @@ void HotCController::handle_traced(const spec::RunSpec& spec,
   emit_span(trace_id, obs::Stage::kPoolLookup, arrival, kZeroDuration,
             key.hash(), entry.has_value() ? obs::kSpanHit : 0);
   if (entry.has_value()) {
-    ++stats_.reuses;
     emit_span(trace_id, obs::Stage::kReuse, arrival, kZeroDuration,
               key.hash(), obs::kSpanHit);
     notify_pool_change(key);
@@ -252,11 +251,14 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
                                  const spec::RuntimeKey& key,
                                  TimePoint arrival, std::uint64_t trace_id,
                                  Callback cb) {
-  engine_.launch(spec, [this, key, spec, app, arrival, trace_id,
+  // After a failed restore or resume the launch starts later than the
+  // request arrived; the span covers the launch alone.
+  const TimePoint launch_start = sim_.now();
+  engine_.launch(spec, [this, key, spec, app, arrival, launch_start, trace_id,
                         cb = std::move(cb)](Result<engine::LaunchReport> r) {
     if (!r.ok()) {
-      emit_span(trace_id, obs::Stage::kColdStart, arrival,
-                sim_.now() - arrival, key.hash(),
+      emit_span(trace_id, obs::Stage::kColdStart, launch_start,
+                sim_.now() - launch_start, key.hash(),
                 obs::kSpanCold | obs::kSpanError);
       auto it = keys_.find(key.id());
       if (it != keys_.end() && it->second.busy_now > 0) {
@@ -266,7 +268,7 @@ void HotCController::launch_cold(const spec::RunSpec& spec,
       return;
     }
     stats_.cold_start_seconds += to_seconds(r.value().breakdown.total());
-    emit_span(trace_id, obs::Stage::kColdStart, arrival,
+    emit_span(trace_id, obs::Stage::kColdStart, launch_start,
               r.value().breakdown.total(), key.hash(), obs::kSpanCold);
     pool::PoolEntry fresh;
     fresh.id = r.value().container;
@@ -370,10 +372,8 @@ void HotCController::run_on(const pool::PoolEntry& entry,
                   sim_.now() - resume_start, entry.key.hash(),
                   obs::kSpanError);
         // A runtime that cannot thaw is not trusted; replace it with a
-        // fresh cold start.  The request was counted as a reuse when the
-        // pool handed the frozen runtime out; it is a cold start after all.
+        // fresh cold start.
         engine_.stop_and_remove(entry.id, [](Result<bool>) {});
-        --stats_.reuses;
         count_cold_start(entry.key);
         launch_cold(spec, app, entry.key, arrival, trace_id, std::move(cb));
         return;
@@ -387,6 +387,9 @@ void HotCController::run_on(const pool::PoolEntry& entry,
     return;
   }
 
+  // Counted once the pooled runtime is known to run: a frozen one that
+  // fails to thaw above becomes a cold start instead.
+  if (startup_paid == kZeroDuration) ++stats_.reuses;
   const spec::RuntimeKey key = entry.key;
   const TimePoint exec_start = sim_.now();
   auto exec_cb = [this, entry, key, was_prewarmed, startup_paid, arrival,

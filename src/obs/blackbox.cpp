@@ -162,13 +162,6 @@ void BlackBox::attach_region(std::uint32_t kind, const char* name,
   presize();
 }
 
-void BlackBox::attach_ring(std::uint32_t kind, const char* name,
-                           const RawRing& ring) {
-  const std::uint64_t params[4] = {ring.capacity, ring.shift, ring.words,
-                                   ring.stride};
-  attach_region(kind, name, ring.data, ring.bytes, params);
-}
-
 void BlackBox::attach_tsdb(const TimeSeriesStore& tsdb) {
   const struct {
     std::uint32_t kind;

@@ -40,8 +40,10 @@
 #include <string>
 
 #include "core/seq_ring.hpp"
+#include "obs/journal.hpp"
 #include "obs/prof.hpp"
 #include "obs/slo.hpp"
+#include "obs/trace.hpp"
 #include "obs/tsdb.hpp"
 
 namespace hotc::obs {
@@ -59,8 +61,8 @@ inline constexpr char kTrailerMagic[8] = {'H', 'O', 'T', 'C',
 inline constexpr std::uint32_t kDumpVersion = 1;
 
 /// Region kinds (RegionHeader::kind).
-inline constexpr std::uint32_t kRegionFlightRing = 1;
-inline constexpr std::uint32_t kRegionJournalRing = 2;
+inline constexpr std::uint32_t kRegionFlightRing = SpanCodec::kRegionKind;
+inline constexpr std::uint32_t kRegionJournalRing = DecisionCodec::kRegionKind;
 inline constexpr std::uint32_t kRegionTsdbRing = 3;
 inline constexpr std::uint32_t kRegionTsdbFrames = 4;
 inline constexpr std::uint32_t kRegionTsdbSeries = 5;
@@ -156,9 +158,16 @@ class BlackBox {
   [[nodiscard]] bool ok() const { return fd_ >= 0; }
 
   // --- startup wiring (single-threaded, before traffic) --------------------
-  /// Any SeqRing (core/seq_ring.hpp): `kind` is kRegionFlightRing or
-  /// kRegionJournalRing, the params carry the ring's geometry.
-  void attach_ring(std::uint32_t kind, const char* name, const RawRing& ring);
+  /// Any SeqRing (core/seq_ring.hpp): its Codec names the region, the
+  /// params carry the ring's geometry.
+  template <class Codec>
+  void attach_ring(const SeqRing<Codec>& ring) {
+    const RawRing raw = ring.raw_ring();
+    const std::uint64_t params[4] = {raw.capacity, raw.shift, raw.words,
+                                     raw.stride};
+    attach_region(Codec::kRegionKind, Codec::kRegionName, raw.data,
+                  raw.bytes, params);
+  }
   void attach_tsdb(const TimeSeriesStore& tsdb);
   /// Generic escape hatch for additional stable buffers.
   void attach_region(std::uint32_t kind, const char* name, const void* data,

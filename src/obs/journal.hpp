@@ -101,6 +101,9 @@ struct TickDecision {
 struct DecisionCodec {
   using Record = DecisionRecord;
   static constexpr std::size_t kWords = 8;
+  /// Crash-dump region kind and label (obs/blackbox.hpp).
+  static constexpr std::uint32_t kRegionKind = 2;
+  static constexpr const char* kRegionName = "journal_ring";
 
   static void pack(const DecisionRecord& rec, std::uint64_t ticket,
                    std::uint64_t* w);
@@ -129,9 +132,10 @@ class DecisionJournal : private DecisionRing {
 
   using DecisionRing::capacity;
   using DecisionRing::dropped;
-  using DecisionRing::raw_ring;
   using DecisionRing::recorded;
   using DecisionRing::snapshot;
+  /// The bare ring, read-only (crash-dump wiring).
+  [[nodiscard]] const DecisionRing& ring() const { return *this; }
 
   /// The newest `n` readable records, oldest first.
   [[nodiscard]] std::vector<DecisionRecord> tail(std::size_t n) const;

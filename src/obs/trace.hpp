@@ -82,6 +82,9 @@ struct SpanRecord {
 struct SpanCodec {
   using Record = SpanRecord;
   static constexpr std::size_t kWords = 5;
+  /// Crash-dump region kind and label (obs/blackbox.hpp).
+  static constexpr std::uint32_t kRegionKind = 1;
+  static constexpr const char* kRegionName = "flight_ring";
 
   static void pack(const SpanRecord& rec, std::uint64_t ticket,
                    std::uint64_t* w) {

@@ -56,8 +56,8 @@ struct CrashHarness {
         tsdb(registry, TsdbOptions{}, &slo),
         path(temp_dump_path("main")),
         box(path) {
-    box.attach_ring(kRegionFlightRing, "flight_ring", tracer.raw_ring());
-    box.attach_ring(kRegionJournalRing, "journal_ring", journal.raw_ring());
+    box.attach_ring(tracer);
+    box.attach_ring(journal.ring());
     box.attach_tsdb(tsdb);
   }
 

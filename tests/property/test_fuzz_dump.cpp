@@ -51,8 +51,8 @@ std::vector<std::uint8_t> valid_dump(const std::string& path) {
   DecisionJournal journal(8, /*audit=*/false);
   {
     BlackBox box(path);
-    box.attach_ring(kRegionFlightRing, "flight_ring", spans.raw_ring());
-    box.attach_ring(kRegionJournalRing, "journal_ring", journal.raw_ring());
+    box.attach_ring(spans);
+    box.attach_ring(journal.ring());
     box.attach_tsdb(tsdb);
     for (std::uint64_t t = 1; t <= 24; ++t) {
       SpanRecord span;
